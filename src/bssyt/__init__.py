@@ -40,9 +40,8 @@ from .bijections import (
     outside_to_bssyt,
     verify_roundtrip,
 )
+from .reports import VerificationReport
 from .jaggedness import (
-    VerificationReport,
-    WeakEnsemble,
     check_toggle_symmetric,
     expected_jaggedness_weak,
     verify_balanced_expectation,
@@ -51,6 +50,7 @@ from .jaggedness import (
     verify_double_sums,
     verify_ensemble_size,
     verify_weak_expectation_by_subshape,
+    weak_histogram,
     weak_probability,
 )
 from .hecke import (

@@ -14,15 +14,15 @@ valid one.
 
 from dataclasses import dataclass
 
-from .jaggedness import VerificationReport
+from .reports import VerificationReport
 from .shapes import Cell, is_corner, is_outside_corner
 from .tableaux import (
     ReversePlanePartition,
     classify,
     enumerate_bssyt,
     induced_subshape,
-    _rpp_unchecked,
-    _svt_unchecked,
+    rpp_unchecked,
+    svt_unchecked,
 )
 
 __all__ = [
@@ -116,7 +116,7 @@ def bssyt_to_corner(T):
     t0, j0 = _doubled_cell(T)
     a, b = T.rows[t0][j0]
     r = t0 + 1
-    P = _rpp_unchecked(T.shape, _shifted_rows_dropping(T, t0, j0, a), T.k)
+    P = rpp_unchecked(T.shape, _shifted_rows_dropping(T, t0, j0, a), T.k)
     return CornerTriple(P, b - r, Cell(r, j0 + 1))
 
 
@@ -139,7 +139,7 @@ def corner_to_bssyt(triple):
             )
         else:
             rows.append(tuple((v + t,) for v in row))
-    return _svt_unchecked(P.shape, tuple(rows), P.k)
+    return svt_unchecked(P.shape, tuple(rows), P.k)
 
 
 def bssyt_to_outside(T):
@@ -154,7 +154,7 @@ def bssyt_to_outside(T):
     t0, j0 = _doubled_cell(T)
     a, b = T.rows[t0][j0]
     r = t0 + 1
-    Q = _rpp_unchecked(T.shape, _shifted_rows_dropping(T, t0, j0, b), T.k)
+    Q = rpp_unchecked(T.shape, _shifted_rows_dropping(T, t0, j0, b), T.k)
     return OutsideTriple(Q, a - r + 1, Cell(r, j0 + 1))
 
 
@@ -173,7 +173,7 @@ def outside_to_bssyt(triple):
             )
         else:
             rows.append(tuple((v + t,) for v in row))
-    return _svt_unchecked(Q.shape, tuple(rows), Q.k)
+    return svt_unchecked(Q.shape, tuple(rows), Q.k)
 
 
 def verify_roundtrip(lam, k):

@@ -53,10 +53,6 @@ def build_parser():
             help="output format (default: text)",
         )
         p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker count for the streaming accumulators and the word DP",
-        )
-        p.add_argument(
             "--limit", type=int, default=None,
             help="refuse runs whose size heuristic (k + rows) * cells exceeds this",
         )
@@ -77,9 +73,9 @@ def build_parser():
             "  (--a --b --d --k)\n"
             "  theorem31     balanced count factor: bssyt = (k*r*c/(r+c)) * ssyt"
             "  (--shape --k; balanced only)\n"
-            "  theorem21     expected jaggedness equals 2rc/(r+c), summed pair by pair"
-            "  (balanced only)\n"
-            "  theorem22     same expectation aggregated by subshape, with a"
+            "  theorem21     expected jaggedness equals 2rc/(r+c), from the weak"
+            " subshape histogram (balanced only)\n"
+            "  theorem22     same expectation summed over every subshape, with a"
             " normalization check (balanced only)\n"
             "  doublesums    corner and outside-corner ensemble sums both equal the"
             " bssyt count (any shape)\n"
@@ -137,7 +133,6 @@ def _fraction_text(value):
 def _run_verify(args):
     """Build the single report document for the requested claim."""
     claim = args.claim
-    threads = args.threads
     if claim == "conjecture11":
         _need(args, "a", "b", "d", "k")
         from .shapes import rect_staircase
@@ -146,31 +141,31 @@ def _run_verify(args):
         return jaggedness.verify_conjecture_rect(args.a, args.b, args.d, args.k).as_dict()
     if claim == "fk14":
         _need(args, "n")
-        return hecke.verify_fk_longest(args.n, threads).as_dict()
+        return hecke.verify_fk_longest(args.n).as_dict()
 
     _need(args, "shape")
     shape = Partition.from_text(args.shape)
     if claim == "fk36":
         k_values = [args.k] if args.k is not None else [1, 2, 3]
         _check_limit(shape, max(k_values), args.limit)
-        return hecke.verify_fk_ratio(shape, k_values, threads).as_dict()
+        return hecke.verify_fk_ratio(shape, k_values).as_dict()
 
     _need(args, "k")
     _check_limit(shape, args.k, args.limit)
     if claim == "theorem31":
         return jaggedness.verify_count_identity(shape, args.k).as_dict()
     if claim == "theorem21":
-        return jaggedness.verify_balanced_expectation(shape, args.k, threads).as_dict()
+        return jaggedness.verify_balanced_expectation(shape, args.k).as_dict()
     if claim == "theorem22":
-        return jaggedness.verify_weak_expectation_by_subshape(shape, args.k, threads).as_dict()
+        return jaggedness.verify_weak_expectation_by_subshape(shape, args.k).as_dict()
     if claim == "doublesums":
-        return jaggedness.verify_double_sums(shape, args.k, threads).as_dict()
+        return jaggedness.verify_double_sums(shape, args.k).as_dict()
     if claim == "fk37":
-        return hecke.verify_fk_bssyt_relation(shape, args.k, threads).as_dict()
+        return hecke.verify_fk_bssyt_relation(shape, args.k).as_dict()
     if claim == "roundtrip":
         return bijections.verify_roundtrip(shape, args.k).as_dict()
     if claim == "togglesym":
-        reports = jaggedness.check_toggle_symmetric(shape, args.k, threads)
+        reports = jaggedness.check_toggle_symmetric(shape, args.k)
         return {
             "claim": "toggle_symmetry",
             "params": {"shape": shape.to_text(), "k": args.k, "cells": len(reports)},
@@ -226,7 +221,7 @@ def _dispatch(args, out):
     if args.command == "expected-jaggedness":
         shape = Partition.from_text(args.shape)
         _check_limit(shape, args.k, args.limit)
-        value = jaggedness.expected_jaggedness_weak(shape, args.k, args.threads)
+        value = jaggedness.expected_jaggedness_weak(shape, args.k)
         balanced = bool(shape.parts) and is_balanced(shape)
         closed = (
             Fraction(2 * shape.rows * shape.cols, shape.rows + shape.cols)
@@ -272,9 +267,6 @@ def _dispatch(args, out):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return _dispatch(args, sys.stdout)
     except LimitExceeded as exc:

@@ -16,10 +16,9 @@ integer polynomials, never by dividing.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from .exactmath import IntPolynomial, binomial
-from .jaggedness import VerificationReport, _require_balanced
+from .reports import VerificationReport, require_balanced
 from .tableaux import count_bssyt, count_ssyt
 
 __all__ = [
@@ -153,32 +152,11 @@ def hecke_product(word, n):
     return u
 
 
-def _expand_level(states, linears, threads):
+def _expand_level(states, linears):
     """One word letter: every state branches over all generators, polynomials
-    accumulate per target state.  Addition commutes, so chunked execution is
-    deterministic."""
-    items = list(states.items())
-    if threads > 1 and len(items) > 1:
-        chunk = (len(items) + threads - 1) // threads
-        pieces = [items[p : p + chunk] for p in range(0, len(items), chunk)]
-
-        def worker(piece):
-            local = {}
-            for u, poly in piece:
-                for i, lin in linears:
-                    v = demazure_step(u, i)
-                    term = poly * lin
-                    local[v] = local[v] + term if v in local else term
-            return local
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = {}
-            for local in pool.map(worker, pieces):
-                for v, poly in local.items():
-                    merged[v] = merged[v] + poly if v in merged else poly
-            return merged
+    accumulate per target state."""
     out = {}
-    for u, poly in items:
+    for u, poly in states.items():
         for i, lin in linears:
             v = demazure_step(u, i)
             term = poly * lin
@@ -186,7 +164,7 @@ def _expand_level(states, linears, threads):
     return out
 
 
-def fk_polynomial(w, ell, threads=1):
+def fk_polynomial(w, ell):
     """Sum of the letter products (x + i_1)...(x + i_ell) over all length-ell
     words folding to w; the zero polynomial when no such word exists."""
     w = permutation(w)
@@ -196,7 +174,7 @@ def fk_polynomial(w, ell, threads=1):
     linears = [(i, IntPolynomial.linear(i)) for i in range(1, n)]
     states = {identity(n): IntPolynomial.one()}
     for _ in range(ell):
-        states = _expand_level(states, linears, threads)
+        states = _expand_level(states, linears)
     return states.get(w, IntPolynomial.zero())
 
 
@@ -240,7 +218,7 @@ def count_reduced_words(w):
     return count(permutation(w))
 
 
-def verify_fk_longest(n, threads=1):
+def verify_fk_longest(n):
     """Longest-permutation polynomial against the hook-style product formula.
 
     Two right-hand sides are compared in cleared form: the formula as
@@ -253,7 +231,7 @@ def verify_fk_longest(n, threads=1):
     if not 2 <= n <= 5:
         raise ValueError("n must be in [2, 5]")
     ell0 = n * (n - 1) // 2
-    lhs = fk_polynomial(longest_permutation(n), ell0, threads)
+    lhs = fk_polynomial(longest_permutation(n), ell0)
     denominator = 1
     printed = IntPolynomial.one()
     doubled = IntPolynomial.one()
@@ -281,16 +259,16 @@ def verify_fk_longest(n, threads=1):
     )
 
 
-def verify_fk_ratio(lam, k_values=(1, 2, 3), threads=1):
+def verify_fk_ratio(lam, k_values=(1, 2, 3)):
     """Consecutive-length polynomial ratio for a dominant permutation whose
     code is a balanced shape; cleared-denominator polynomial identity plus a
     numeric spot check at each requested evaluation point."""
-    _require_balanced(lam)
+    require_balanced(lam)
     w = dominant_from_partition(lam)
     ell = length(w)
     r, c = lam.rows, lam.cols
-    f_ell = fk_polynomial(w, ell, threads)
-    f_next = fk_polynomial(w, ell + 1, threads)
+    f_ell = fk_polynomial(w, ell)
+    f_next = fk_polynomial(w, ell + 1)
     clear = ell * (r + c)
     lhs = f_next * clear
     rhs = f_ell * IntPolynomial.linear(clear, 2 * r * c) * binomial(ell + 1, 2)
@@ -314,7 +292,7 @@ def verify_fk_ratio(lam, k_values=(1, 2, 3), threads=1):
     )
 
 
-def verify_fk_bssyt_relation(lam, k, threads=1):
+def verify_fk_bssyt_relation(lam, k):
     """Cross-module bridge: polynomial evaluations at k against the two
     tableau counts, in cleared integer form; dominance comes free from the
     code being a partition, no balance needed."""
@@ -322,8 +300,8 @@ def verify_fk_bssyt_relation(lam, k, threads=1):
         raise ValueError("k must be positive")
     w = dominant_from_partition(lam)
     ell = length(w)
-    value_next = fk_polynomial(w, ell + 1, threads).evaluate(k)
-    value_ell = fk_polynomial(w, ell, threads).evaluate(k)
+    value_next = fk_polynomial(w, ell + 1).evaluate(k)
+    value_ell = fk_polynomial(w, ell).evaluate(k)
     ssyt = count_ssyt(lam, k)
     bssyt = count_bssyt(lam, k)
     lhs = value_next * ssyt

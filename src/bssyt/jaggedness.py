@@ -2,26 +2,23 @@
 
 A uniform pair (reverse plane partition, level) induces the subshape of
 cells holding entries below the level; the resulting distribution on
-subshapes is the weak distribution.  Every check here streams that pair
-ensemble once, keeping only integer accumulators, so memory stays flat
-while the counts grow combinatorially.  All probabilities and expectations
-are exact rationals; nothing is sampled.
+subshapes is the weak distribution.  One pass over the pairs builds its
+histogram, subshape to pair count, and every ensemble claim here (the
+weak probabilities, the expected jaggedness, the corner double sums and
+the per-cell toggle symmetry) is a sum over that histogram's distinct
+subshapes.  All probabilities and expectations are exact rationals;
+nothing is sampled.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
-from typing import Any
 
-from .exactmath import IntPolynomial
+from .reports import VerificationReport, require_balanced
 from .shapes import (
-    Cell,
-    NotBalancedError,
     Partition,
+    all_subshapes,
     corner_count,
     corners,
-    is_balanced,
     jaggedness as shape_jaggedness,
     proper_outside_corner_count,
     proper_outside_corners,
@@ -37,8 +34,6 @@ from .tableaux import (
 )
 
 __all__ = [
-    "VerificationReport",
-    "WeakEnsemble",
     "check_toggle_symmetric",
     "expected_jaggedness_weak",
     "verify_balanced_expectation",
@@ -47,180 +42,56 @@ __all__ = [
     "verify_double_sums",
     "verify_ensemble_size",
     "verify_weak_expectation_by_subshape",
+    "weak_histogram",
     "weak_probability",
 ]
 
 
-def _encode(value):
-    """Lower a report value to JSON-ready data; exact types become strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, IntPolynomial):
-        return str(value)
-    if isinstance(value, Partition):
-        return value.to_text()
-    if isinstance(value, Cell):
-        return f"{value.row},{value.col}"
-    if isinstance(value, dict):
-        return {_encode_key(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    raise TypeError(f"cannot encode {value!r} into a report")
+def weak_histogram(lam, k):
+    """How many (reverse plane partition, level) pairs induce each subshape.
 
-
-def _encode_key(key):
-    encoded = _encode(key)
-    return encoded if isinstance(encoded, str) else str(encoded)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """One checked claim: exact left and right values plus their equality."""
-
-    claim: str
-    params: dict
-    lhs: Any
-    rhs: Any
-    equal: bool
-
-    def as_dict(self):
-        return {
-            "claim": self.claim,
-            "params": _encode(self.params),
-            "lhs": _encode(self.lhs),
-            "rhs": _encode(self.rhs),
-            "equal": self.equal,
-        }
-
-
-class WeakEnsemble:
-    """Lazy uniform ensemble of (reverse plane partition, level) pairs."""
-
-    def __init__(self, shape, k):
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.shape = shape
-        self.k = k
-
-    def __iter__(self):
-        for P in enumerate_rpp(self.shape, self.k):
-            for i in range(1, self.k + 1):
-                yield P, i
-
-    def size(self):
-        return self.k * count_rpp(self.shape, self.k)
-
-
-def _batched(iterator, size):
-    iterator = iter(iterator)
-    while True:
-        batch = list(islice(iterator, size))
-        if not batch:
-            return
-        yield batch
-
-
-def _fold_rpps(shape, k, fold, initial, combine, threads=1):
-    """Run fold(state, P) over every reverse plane partition of the shape.
-
-    fold returns the updated state; combine merges two states.  All states
-    are integer-valued accumulators, so any partition of the stream gives
-    the same answer and the threaded path stays deterministic.
+    Keys are the part tuples of the induced subshapes; the counts add up to
+    the ensemble size k * |RPP(lam, k)|.
     """
-    if threads > 1:
-        def worker(batch):
-            state = initial()
-            for P in batch:
-                state = fold(state, P)
-            return state
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            result = initial()
-            for state in pool.map(worker, _batched(enumerate_rpp(shape, k), 256)):
-                result = combine(result, state)
-            return result
-    state = initial()
-    for P in enumerate_rpp(shape, k):
-        state = fold(state, P)
-    return state
+    return Counter(
+        induced_subshape(P, i).parts
+        for P in enumerate_rpp(lam, k)
+        for i in range(1, k + 1)
+    )
 
 
-def weak_probability(mu, lam, k, threads=1):
+def weak_probability(mu, lam, k):
     """Exact probability that a uniform pair induces exactly mu."""
     if not subshape_contained(mu, lam):
         raise ValueError(f"{mu!r} is not a subshape of {lam!r}")
-    if k < 1:
-        raise ValueError("k must be positive")
-
-    def fold(state, P):
-        matches, total = state
-        for i in range(1, k + 1):
-            if induced_subshape(P, i) == mu:
-                matches += 1
-        return matches, total + k
-
-    def combine(a, b):
-        return a[0] + b[0], a[1] + b[1]
-
-    matches, total = _fold_rpps(shape=lam, k=k, fold=fold, initial=lambda: (0, 0),
-                                combine=combine, threads=threads)
-    return Fraction(matches, total)
+    histogram = weak_histogram(lam, k)
+    return Fraction(histogram[mu.parts], sum(histogram.values()))
 
 
-def expected_jaggedness_weak(lam, k, threads=1):
+def expected_jaggedness_weak(lam, k):
     """Mean jaggedness of the induced subshape over all uniform pairs; exact."""
-    if k < 1:
-        raise ValueError("k must be positive")
-
-    def fold(state, P):
-        total, pairs = state
-        for i in range(1, k + 1):
-            total += shape_jaggedness(induced_subshape(P, i), lam)
-        return total, pairs + k
-
-    def combine(a, b):
-        return a[0] + b[0], a[1] + b[1]
-
-    total, pairs = _fold_rpps(lam, k, fold, lambda: (0, 0), combine, threads)
-    return Fraction(total, pairs)
+    histogram = weak_histogram(lam, k)
+    total = sum(
+        n * shape_jaggedness(Partition(parts), lam) for parts, n in histogram.items()
+    )
+    return Fraction(total, sum(histogram.values()))
 
 
-def check_toggle_symmetric(lam, k, threads=1):
+def check_toggle_symmetric(lam, k):
     """Per cell of lam: ensemble count of toggle-ins versus toggle-outs.
 
     A cell toggles into an induced subshape exactly when it is one of its
     proper outside corners, and out exactly when it is one of its corners,
-    so each pair contributes through those two cell lists.  Returns one
-    report per cell in row-major order.
+    so each subshape contributes its pair count through those two cell
+    lists.  Returns one report per cell in row-major order.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-
-    def fold(state, P):
-        ins, outs = state
-        for i in range(1, k + 1):
-            mu = induced_subshape(P, i)
-            for cell in corners(mu):
-                outs[cell] = outs.get(cell, 0) + 1
-            for cell in proper_outside_corners(mu, lam):
-                ins[cell] = ins.get(cell, 0) + 1
-        return ins, outs
-
-    def combine(a, b):
-        ins, outs = a
-        for cell, n in b[0].items():
-            ins[cell] = ins.get(cell, 0) + n
-        for cell, n in b[1].items():
+    ins, outs = {}, {}
+    for parts, n in weak_histogram(lam, k).items():
+        mu = Partition(parts)
+        for cell in corners(mu):
             outs[cell] = outs.get(cell, 0) + n
-        return ins, outs
-
-    ins, outs = _fold_rpps(lam, k, fold, lambda: ({}, {}), combine, threads)
+        for cell in proper_outside_corners(mu, lam):
+            ins[cell] = ins.get(cell, 0) + n
     reports = []
     for cell in lam.cells():
         into, out_of = ins.get(cell, 0), outs.get(cell, 0)
@@ -236,17 +107,10 @@ def check_toggle_symmetric(lam, k, threads=1):
     return reports
 
 
-def _require_balanced(lam):
-    if not lam.parts:
-        raise NotBalancedError("the empty shape is not balanced")
-    if not is_balanced(lam):
-        raise NotBalancedError(f"{lam!r} is not balanced")
-
-
-def verify_balanced_expectation(lam, k, threads=1):
+def verify_balanced_expectation(lam, k):
     """Expected jaggedness under the weak distribution against 2rc/(r+c)."""
-    _require_balanced(lam)
-    value = expected_jaggedness_weak(lam, k, threads)
+    require_balanced(lam)
+    value = expected_jaggedness_weak(lam, k)
     r, c = lam.rows, lam.cols
     target = Fraction(2 * r * c, r + c)
     return VerificationReport(
@@ -258,43 +122,33 @@ def verify_balanced_expectation(lam, k, threads=1):
     )
 
 
-def verify_weak_expectation_by_subshape(lam, k, threads=1):
-    """Same equality, but aggregated by subshape first.
+def verify_weak_expectation_by_subshape(lam, k):
+    """Same equality, but summed over every subshape of lam.
 
-    Accumulates how often each subshape occurs, checks the occurrence counts
-    add up to the whole ensemble, and compares the probability-weighted
-    jaggedness sum with the closed form.  A deliberately different code path
-    from verify_balanced_expectation.
+    Walks the subshapes of lam independently of the pair ensemble, weights
+    each by its histogram count, checks those counts add up to the whole
+    ensemble (so no pair induced anything but a subshape of lam), and
+    compares the weighted jaggedness sum with the closed form.
     """
-    _require_balanced(lam)
-
-    def fold(state, P):
-        counts, pairs = state
-        for i in range(1, k + 1):
-            mu = induced_subshape(P, i)
-            counts[mu.parts] = counts.get(mu.parts, 0) + 1
-        return counts, pairs + k
-
-    def combine(a, b):
-        counts, pairs = a
-        for parts, n in b[0].items():
-            counts[parts] = counts.get(parts, 0) + n
-        return counts, pairs + b[1]
-
-    counts, pairs = _fold_rpps(lam, k, fold, lambda: ({}, 0), combine, threads)
-    weighted = sum(
-        n * shape_jaggedness(Partition(parts), lam) for parts, n in counts.items()
-    )
+    require_balanced(lam)
+    histogram = weak_histogram(lam, k)
+    pairs = sum(histogram.values())
+    covered = weighted = 0
+    for mu in all_subshapes(lam):
+        n = histogram[mu.parts]
+        if n:
+            covered += n
+            weighted += n * shape_jaggedness(mu, lam)
     value = Fraction(weighted, pairs)
     r, c = lam.rows, lam.cols
     target = Fraction(2 * r * c, r + c)
-    normalized = sum(counts.values()) == pairs
+    normalized = covered == pairs
     return VerificationReport(
         claim="weak_distribution_expected_jaggedness",
         params={
             "shape": lam,
             "k": k,
-            "subshapes_seen": len(counts),
+            "subshapes_seen": len(histogram),
             "normalized": normalized,
         },
         lhs=value,
@@ -305,7 +159,7 @@ def verify_weak_expectation_by_subshape(lam, k, threads=1):
 
 def verify_ensemble_size(lam, k):
     """Pair-ensemble size against k times the flagged tableau count; any shape."""
-    lhs = WeakEnsemble(lam, k).size()
+    lhs = k * count_rpp(lam, k)
     rhs = k * count_ssyt(lam, k)
     return VerificationReport(
         claim="pair_count_equals_k_ssyt",
@@ -319,32 +173,20 @@ def verify_ensemble_size(lam, k):
 def verify_count_identity(lam, k):
     """Barely set-valued count against (krc/(r+c)) times the flagged count.
 
-    Balanced shapes only.  The comparison is cleared of denominators; the
-    report also carries the intermediate pair-count identity.
+    Balanced shapes only.  The comparison is cleared of denominators.
     """
-    _require_balanced(lam)
+    require_balanced(lam)
     if k < 1:
         raise ValueError("k must be positive")
     r, c = lam.rows, lam.cols
     ssyt = count_ssyt(lam, k)
     bssyt = count_bssyt(lam, k)
-    rpp = count_rpp(lam, k)
-    main = bssyt * (r + c) == k * r * c * ssyt
-    intermediate = k * rpp == k * ssyt
     return VerificationReport(
         claim="bssyt_count_balanced",
-        params={
-            "shape": lam,
-            "k": k,
-            "ssyt_count": ssyt,
-            "rpp_count": rpp,
-            "pair_count": k * rpp,
-            "k_times_ssyt": k * ssyt,
-            "pair_count_equal": intermediate,
-        },
+        params={"shape": lam, "k": k, "ssyt_count": ssyt, "k_times_ssyt": k * ssyt},
         lhs=bssyt,
         rhs=Fraction(k * r * c * ssyt, r + c),
-        equal=main and intermediate,
+        equal=bssyt * (r + c) == k * r * c * ssyt,
     )
 
 
@@ -374,33 +216,22 @@ def verify_conjecture_rect(a, b, d, k):
     )
 
 
-def verify_double_sums(lam, k, threads=1):
+def verify_double_sums(lam, k):
     """Corner and proper-outside-corner ensemble sums against the barely
     set-valued count; holds for every shape, balanced or not."""
-    if k < 1:
-        raise ValueError("k must be positive")
-
-    def fold(state, P):
-        corner_sum, outside_sum, pairs = state
-        for i in range(1, k + 1):
-            mu = induced_subshape(P, i)
-            corner_sum += corner_count(mu)
-            outside_sum += proper_outside_corner_count(mu, lam)
-        return corner_sum, outside_sum, pairs + k
-
-    def combine(x, y):
-        return x[0] + y[0], x[1] + y[1], x[2] + y[2]
-
-    corner_sum, outside_sum, pairs = _fold_rpps(
-        lam, k, fold, lambda: (0, 0, 0), combine, threads
-    )
+    histogram = weak_histogram(lam, k)
+    corner_sum = outside_sum = 0
+    for parts, n in histogram.items():
+        mu = Partition(parts)
+        corner_sum += n * corner_count(mu)
+        outside_sum += n * proper_outside_corner_count(mu, lam)
     bssyt = count_bssyt(lam, k)
     return VerificationReport(
         claim="corner_sums_match_bssyt",
         params={
             "shape": lam,
             "k": k,
-            "pair_count": pairs,
+            "pair_count": sum(histogram.values()),
             "both_sums_total": corner_sum + outside_sum,
         },
         lhs=[corner_sum, outside_sum],

@@ -58,11 +58,11 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = list(parts)
-        while parts and parts[-1] == 0:
+        while parts and parts[-1] == 0 and not isinstance(parts[-1], bool):
             parts.pop()
         previous = None
         for p in parts:
-            if not isinstance(p, int) or p <= 0:
+            if isinstance(p, bool) or not isinstance(p, int) or p <= 0:
                 raise ValueError(f"parts must be positive integers, got {parts!r}")
             if previous is not None and previous < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts!r}")

@@ -37,7 +37,7 @@ __all__ = [
 
 
 def _require_bound(k):
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"bound k must be a positive integer, got {k!r}")
 
 
@@ -65,8 +65,8 @@ class SetValuedTableau:
 
     Cells are stored as sorted tuples of distinct ints; rows is a tuple of
     row tuples matching the shape.  Construction validates everything; the
-    enumerators and bijections use a private unchecked builder because their
-    outputs are valid by construction.
+    enumerators and bijections build through svt_unchecked instead, because
+    their outputs are valid by construction.
     """
 
     __slots__ = ("shape", "rows", "k")
@@ -212,7 +212,8 @@ class ReversePlanePartition:
         return f"ReversePlanePartition({self.serialize()!r}, k={self.k})"
 
 
-def _svt_unchecked(shape, rows, k):
+def svt_unchecked(shape, rows, k):
+    """A SetValuedTableau built without validation; rows must be valid already."""
     t = object.__new__(SetValuedTableau)
     t.shape = shape
     t.rows = rows
@@ -220,7 +221,8 @@ def _svt_unchecked(shape, rows, k):
     return t
 
 
-def _rpp_unchecked(shape, rows, k):
+def rpp_unchecked(shape, rows, k):
+    """A ReversePlanePartition built without validation; rows must be valid already."""
     p = object.__new__(ReversePlanePartition)
     p.shape = shape
     p.rows = rows
@@ -319,7 +321,7 @@ def enumerate_ssyt(shape, k):
     """All flagged semistandard tableaux of the shape, lexicographic order."""
     _require_bound(k)
     for rows in _setvalued_grids(shape, k, None):
-        yield _svt_unchecked(shape, rows, k)
+        yield svt_unchecked(shape, rows, k)
 
 
 def count_ssyt(shape, k):
@@ -337,7 +339,7 @@ def enumerate_bssyt(shape, k):
     for t in range(shape.rows):
         for j in range(shape.parts[t]):
             for rows in _setvalued_grids(shape, k, (t, j)):
-                yield _svt_unchecked(shape, rows, k)
+                yield svt_unchecked(shape, rows, k)
 
 
 def count_bssyt(shape, k):
@@ -354,7 +356,7 @@ def enumerate_rpp(shape, k):
     """All reverse plane partitions of the shape with entries at most k."""
     _require_bound(k)
     for rows in _rpp_grids(shape, k):
-        yield _rpp_unchecked(shape, rows, k)
+        yield rpp_unchecked(shape, rows, k)
 
 
 def count_rpp(shape, k):
@@ -367,7 +369,7 @@ def rpp_to_ssyt(P):
     rows = tuple(
         tuple((v + t,) for v in row) for t, row in enumerate(P.rows, start=1)
     )
-    return _svt_unchecked(P.shape, rows, P.k)
+    return svt_unchecked(P.shape, rows, P.k)
 
 
 def ssyt_to_rpp(T):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bssyt import cli
-from bssyt.jaggedness import VerificationReport
+from bssyt.reports import VerificationReport
 
 
 def run(capsys, *argv):
@@ -125,15 +125,6 @@ def test_limit_refusal(capsys):
     code, out, _ = run(capsys, "count", "ssyt", "--shape", "1", "--k", "1",
                        "--limit", "1000")
     assert code == 0 and out == "2\n"
-
-
-def test_threads_validated_and_forwarded(capsys):
-    code, _, err = run(capsys, "verify", "doublesums", "--shape", "2,1", "--k", "2",
-                       "--threads", "0")
-    assert code == 2
-    code, out, _ = run(capsys, "verify", "doublesums", "--shape", "2,1", "--k", "2",
-                       "--threads", "2", "--format", "json")
-    assert code == 0 and json.loads(out)["equal"] is True
 
 
 def test_expected_jaggedness_outputs(capsys):

@@ -163,11 +163,6 @@ def test_fk_polynomial_matches_bruteforce():
                 assert fk_polynomial(w, ell) == fk_polynomial_bruteforce(w, ell)
 
 
-def test_fk_polynomial_threads_deterministic():
-    w = (4, 2, 3, 1)
-    assert fk_polynomial(w, 6, threads=3) == fk_polynomial(w, 6)
-
-
 def test_reduced_word_counts():
     assert count_reduced_words(identity(3)) == 1
     assert count_reduced_words(longest_permutation(3)) == 2

@@ -33,6 +33,9 @@ def test_partition_construction():
         P((3, -1))
     with pytest.raises(ValueError):
         P((3, 0, 2))
+    for bad in ((True,), (2, True), (1, False)):
+        with pytest.raises(ValueError):
+            P(bad)
 
 
 def test_partition_accessors():

@@ -122,6 +122,8 @@ def test_bad_bound_rejected():
         count_ssyt(P((1,)), 0)
     with pytest.raises(ValueError):
         list(enumerate_rpp(P((1,)), -2))
+    with pytest.raises(ValueError):
+        count_ssyt(P((1,)), True)
 
 
 def test_row_shift_example():
