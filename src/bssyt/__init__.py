@@ -10,7 +10,6 @@ from .shapes import (
     all_subshapes,
     corners,
     is_balanced,
-    jaggedness,
     lattice_path,
     outside_corners,
     proper_outside_corners,

@@ -6,21 +6,25 @@ leaving entries in [0, k] with the doubled cell holding {a - r, b - r} when
 plane partition P, the level i = b - r, and the cell itself, which lands as
 a corner of the level-i induced subshape.  Dropping the smaller value
 instead leaves Q, the level j = a - r + 1, and the cell as a proper outside
-corner of the level-j induced subshape.  Each backward map validates its
-designated-cell precondition, joins the dropped value back into the cell,
-and shifts rows up; the result is a valid tableau whenever the triple is a
-valid one.
+corner of the level-j induced subshape.
+
+A triple checks its cell from the neighbouring entries, without building
+the induced subshape.  A corner holds an entry below the level, and the
+cells right of and below it are absent or hold at least the level.  A
+proper outside corner holds an entry at least the level, and the cells left
+of and above it are absent or hold less than the level.  Each backward map
+joins the dropped value back into the cell and shifts rows up; the result
+is a valid tableau whenever the triple is a valid one.
 """
 
 from dataclasses import dataclass
 
 from .reports import VerificationReport
-from .shapes import Cell, is_corner, is_outside_corner
+from .shapes import Cell
 from .tableaux import (
     ReversePlanePartition,
     classify,
     enumerate_bssyt,
-    induced_subshape,
     rpp_unchecked,
     svt_unchecked,
 )
@@ -46,10 +50,16 @@ class CornerTriple:
     cell: Cell
 
     def __post_init__(self):
-        if not 1 <= self.level <= self.rpp.k:
-            raise ValueError(f"level {self.level} outside [1, {self.rpp.k}]")
-        mu = induced_subshape(self.rpp, self.level)
-        if not is_corner(self.cell, mu):
+        P, i, (r, c) = self.rpp, self.level, self.cell
+        if not 1 <= i <= P.k:
+            raise ValueError(f"level {i} outside [1, {P.k}]")
+        inside = P.shape.contains_cell
+        if not (
+            inside((r, c))
+            and P.entry(r, c) < i
+            and (not inside((r, c + 1)) or P.entry(r, c + 1) >= i)
+            and (not inside((r + 1, c)) or P.entry(r + 1, c) >= i)
+        ):
             raise ValueError(
                 f"{tuple(self.cell)} is not a corner of the level-{self.level} subshape"
             )
@@ -65,10 +75,16 @@ class OutsideTriple:
     cell: Cell
 
     def __post_init__(self):
-        if not 1 <= self.level <= self.rpp.k:
-            raise ValueError(f"level {self.level} outside [1, {self.rpp.k}]")
-        mu = induced_subshape(self.rpp, self.level)
-        if not (is_outside_corner(self.cell, mu) and self.rpp.shape.contains_cell(self.cell)):
+        Q, j, (r, c) = self.rpp, self.level, self.cell
+        if not 1 <= j <= Q.k:
+            raise ValueError(f"level {j} outside [1, {Q.k}]")
+        # inside a diagram, only the first column and row lack those neighbours
+        if not (
+            Q.shape.contains_cell((r, c))
+            and Q.entry(r, c) >= j
+            and (c == 1 or Q.entry(r, c - 1) < j)
+            and (r == 1 or Q.entry(r - 1, c) < j)
+        ):
             raise ValueError(
                 f"{tuple(self.cell)} is not a proper outside corner of the "
                 f"level-{self.level} subshape"
@@ -76,32 +92,28 @@ class OutsideTriple:
 
 
 def _doubled_cell(T):
+    """0-based (row, col) of the one doubled cell of a barely set-valued T."""
+    if classify(T) != "BSSYT":
+        raise ValueError("input must be barely set-valued: exactly one doubled cell")
     for t, row in enumerate(T.rows):
         for j, cell in enumerate(row):
             if len(cell) == 2:
                 return t, j
-    raise ValueError("no doubled cell found")
-
-
-def _require_bssyt(T):
-    if classify(T) != "BSSYT":
-        raise ValueError("input must be barely set-valued: exactly one doubled cell")
 
 
 def _shifted_rows_dropping(T, t0, j0, kept):
     """Row-shift T down, keeping only `kept` of the doubled cell at (t0, j0)."""
-    rows = []
-    for t, row in enumerate(T.rows):
-        if t == t0:
-            rows.append(
-                tuple(
-                    (kept if j == j0 else cell[0]) - (t + 1)
-                    for j, cell in enumerate(row)
-                )
-            )
-        else:
-            rows.append(tuple(cell[0] - (t + 1) for cell in row))
-    return tuple(rows)
+    rows = [[cell[0] - t for cell in row] for t, row in enumerate(T.rows, start=1)]
+    rows[t0][j0] = kept - (t0 + 1)
+    return tuple(map(tuple, rows))
+
+
+def _joined(P, cell, low, high):
+    """Shift row t of P up by t, with the doubled cell holding {low, high}."""
+    r, c = cell
+    rows = [[(v + t,) for v in row] for t, row in enumerate(P.rows, start=1)]
+    rows[r - 1][c - 1] = (low + r, high + r)
+    return svt_unchecked(P.shape, tuple(map(tuple, rows)), P.k)
 
 
 def bssyt_to_corner(T):
@@ -112,7 +124,6 @@ def bssyt_to_corner(T):
     entry a - r lies below the level, while the cells right of and below it
     hold entries at least b - r.
     """
-    _require_bssyt(T)
     t0, j0 = _doubled_cell(T)
     a, b = T.rows[t0][j0]
     r = t0 + 1
@@ -126,20 +137,8 @@ def corner_to_bssyt(triple):
     The triple's own construction re-checks the corner precondition, so a
     malformed triple fails there rather than producing an invalid tableau.
     """
-    P, i, (r, c) = triple.rpp, triple.level, triple.cell
-    kept = P.entry(r, c)
-    rows = []
-    for t, row in enumerate(P.rows, start=1):
-        if t == r:
-            rows.append(
-                tuple(
-                    ((kept + t, i + t) if j == c else (v + t,))
-                    for j, v in enumerate(row, start=1)
-                )
-            )
-        else:
-            rows.append(tuple((v + t,) for v in row))
-    return svt_unchecked(P.shape, tuple(rows), P.k)
+    P, cell = triple.rpp, triple.cell
+    return _joined(P, cell, P.entry(*cell), triple.level)
 
 
 def bssyt_to_outside(T):
@@ -150,7 +149,6 @@ def bssyt_to_outside(T):
     subshape: its remaining entry b - r is at least j, while the cells above
     and to the left hold entries at most a - r < j.
     """
-    _require_bssyt(T)
     t0, j0 = _doubled_cell(T)
     a, b = T.rows[t0][j0]
     r = t0 + 1
@@ -160,20 +158,8 @@ def bssyt_to_outside(T):
 
 def outside_to_bssyt(triple):
     """Join level - 1 into the designated proper outside corner and shift up."""
-    Q, j, (r, c) = triple.rpp, triple.level, triple.cell
-    kept = Q.entry(r, c)
-    rows = []
-    for t, row in enumerate(Q.rows, start=1):
-        if t == r:
-            rows.append(
-                tuple(
-                    ((j - 1 + t, kept + t) if col == c else (v + t,))
-                    for col, v in enumerate(row, start=1)
-                )
-            )
-        else:
-            rows.append(tuple((v + t,) for v in row))
-    return svt_unchecked(Q.shape, tuple(rows), Q.k)
+    Q, cell = triple.rpp, triple.cell
+    return _joined(Q, cell, triple.level - 1, Q.entry(*cell))
 
 
 def verify_roundtrip(lam, k):

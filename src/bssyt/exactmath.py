@@ -84,9 +84,6 @@ class IntPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return IntPolynomial(-c for c in self.coeffs)
-
     def __add__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -97,11 +94,6 @@ class IntPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return IntPolynomial(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):

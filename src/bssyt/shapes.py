@@ -5,9 +5,11 @@ and, when contained in a larger shape, as an order ideal of that shape's
 cell poset.  Corners are the removable cells; outside corners the addable
 ones, where the two boundary conventions (the cell right of row 1 and the
 cell below column 1) are always generated and then filtered by membership
-in the ambient shape.  Everything here is integer arithmetic: the balanced
-test cross-multiplies instead of comparing slopes, so there is no tolerance
-anywhere.
+in the ambient shape.  The lists `corners` and `proper_outside_corners` are
+the only definitions of the two cell sets: the corner counts, the
+jaggedness and the toggle tests are all read off them.  Everything here
+is integer arithmetic: the balanced test cross-multiplies instead of
+comparing slopes, so there is no tolerance anywhere.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,6 @@ __all__ = [
     "corner_count",
     "corners",
     "is_balanced",
-    "is_corner",
-    "is_outside_corner",
     "jaggedness",
     "lattice_path",
     "outside_corners",
@@ -50,23 +50,23 @@ class NotBalancedError(ValueError):
 class Partition:
     """Weakly decreasing positive parts; the empty partition is allowed.
 
-    Trailing zeros in the input are stripped; any other zero or an increase
-    is rejected.
+    Every part is type-checked first; then trailing zeros are stripped.  A
+    zero followed by a positive part is an increase, and is rejected.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         parts = list(parts)
-        while parts and parts[-1] == 0 and not isinstance(parts[-1], bool):
-            parts.pop()
         previous = None
         for p in parts:
-            if isinstance(p, bool) or not isinstance(p, int) or p <= 0:
-                raise ValueError(f"parts must be positive integers, got {parts!r}")
+            if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+                raise ValueError(f"parts must be nonnegative integers, got {parts!r}")
             if previous is not None and previous < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
             previous = p
+        while parts and parts[-1] == 0:
+            parts.pop()
         self.parts = tuple(parts)
 
     @classmethod
@@ -176,26 +176,6 @@ def corners(mu):
     ]
 
 
-def is_corner(cell, mu):
-    """Single-cell form of corners(mu) membership."""
-    row, col = cell
-    return row >= 1 and col >= 1 and mu.part(row) == col and mu.part(row + 1) < col
-
-
-def is_outside_corner(cell, mu):
-    """Single-cell form of outside_corners(mu) membership."""
-    row, col = cell
-    if row < 1 or col < 1:
-        return False
-    if not mu.parts:
-        return row == 1 and col == 1
-    if row == 1:
-        return col == mu.parts[0] + 1
-    if row == mu.rows + 1:
-        return col == 1
-    return row <= mu.rows and col == mu.part(row) + 1 and mu.part(row - 1) > mu.part(row)
-
-
 def outside_corners(mu):
     """Addable cells of mu.
 
@@ -220,30 +200,17 @@ def proper_outside_corners(mu, lam):
 
 
 def corner_count(mu):
-    """len(corners(mu)) without building the list; used by the streaming sums."""
-    parts = mu.parts
-    n = len(parts)
-    return sum(1 for i in range(n) if parts[i] > (parts[i + 1] if i + 1 < n else 0))
+    """Number of corners of mu."""
+    return len(corners(mu))
 
 
 def proper_outside_corner_count(mu, lam):
-    """len(proper_outside_corners(mu, lam)) without building the list."""
-    if not mu.parts:
-        return 1 if lam.parts else 0
-    count = 0
-    if lam.part(1) > mu.parts[0]:
-        count += 1
-    for i in range(2, mu.rows + 1):
-        if mu.part(i - 1) > mu.part(i) and lam.part(i) > mu.part(i):
-            count += 1
-    if lam.part(mu.rows + 1) >= 1:
-        count += 1
-    return count
+    """Number of proper outside corners of mu within lam."""
+    return len(proper_outside_corners(mu, lam))
 
 
 def jaggedness(mu, lam):
     """Number of corners of mu plus proper outside corners of mu within lam."""
-    _require_contained(mu, lam)
     return corner_count(mu) + proper_outside_corner_count(mu, lam)
 
 
@@ -306,15 +273,14 @@ def _require_cell_in(p, lam):
 def can_toggle_in(p, mu, lam):
     """True iff p can be added to mu while staying a subshape of lam."""
     _require_cell_in(p, lam)
-    _require_contained(mu, lam)
-    return is_outside_corner(p, mu)
+    return p in proper_outside_corners(mu, lam)
 
 
 def can_toggle_out(p, mu, lam):
     """True iff p can be removed from mu leaving a subshape."""
     _require_cell_in(p, lam)
     _require_contained(mu, lam)
-    return is_corner(p, mu)
+    return p in corners(mu)
 
 
 def is_balanced(lam):

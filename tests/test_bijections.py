@@ -9,12 +9,14 @@ from bssyt.bijections import (
     outside_to_bssyt,
     verify_roundtrip,
 )
-from bssyt.shapes import Cell, Partition, all_subshapes
+from bssyt.shapes import Cell, Partition, all_subshapes, corners, proper_outside_corners
 from bssyt.tableaux import (
     ReversePlanePartition,
     SetValuedTableau,
     classify,
     enumerate_bssyt,
+    enumerate_rpp,
+    induced_subshape,
 )
 
 P = Partition
@@ -88,6 +90,37 @@ def test_malformed_triples_rejected():
     # proper outside corner; the constructors accept exactly those
     CornerTriple(rpp, 2, Cell(2, 1))
     OutsideTriple(rpp, 2, Cell(2, 2))
+
+
+def _accepts(triple_type, rpp, level, cell):
+    try:
+        triple_type(rpp, level, cell)
+    except ValueError:
+        return False
+    return True
+
+
+def test_triple_checks_match_subshape_definition():
+    # the local neighbour checks against the cell lists of the induced subshape
+    for lam in all_subshapes(P((3, 3, 3))):
+        for k in (1, 2):
+            for rpp in enumerate_rpp(lam, k):
+                for level in range(k + 2):
+                    if 1 <= level <= k:
+                        mu = induced_subshape(rpp, level)
+                        corner_set = set(corners(mu))
+                        outside_set = set(proper_outside_corners(mu, lam))
+                    else:
+                        corner_set = outside_set = set()
+                    for row in range(lam.rows + 2):
+                        for col in range(lam.cols + 2):
+                            cell = Cell(row, col)
+                            assert _accepts(CornerTriple, rpp, level, cell) == (
+                                cell in corner_set
+                            )
+                            assert _accepts(OutsideTriple, rpp, level, cell) == (
+                                cell in outside_set
+                            )
 
 
 def test_roundtrip_exhaustive_small_grid():

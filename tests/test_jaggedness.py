@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,15 @@ def test_weak_histogram_against_pair_walk():
             assert dict(histogram) == walked
     with pytest.raises(ValueError):
         weak_histogram(P((1,)), 0)
+
+
+def test_package_jaggedness_is_the_submodule():
+    import bssyt
+    import bssyt.shapes
+
+    assert isinstance(bssyt.jaggedness, types.ModuleType)
+    assert bssyt.jaggedness.verify_double_sums is verify_double_sums
+    assert isinstance(bssyt.shapes.jaggedness, types.FunctionType)
 
 
 def test_weak_probability_single_cell():

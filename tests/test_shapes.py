@@ -9,8 +9,6 @@ from bssyt.shapes import (
     corner_count,
     corners,
     is_balanced,
-    is_corner,
-    is_outside_corner,
     jaggedness,
     lattice_path,
     outside_corners,
@@ -33,7 +31,7 @@ def test_partition_construction():
         P((3, -1))
     with pytest.raises(ValueError):
         P((3, 0, 2))
-    for bad in ((True,), (2, True), (1, False)):
+    for bad in ((True,), (2, True), (1, False), (2, 0.0), (2, 0.0, 0)):
         with pytest.raises(ValueError):
             P(bad)
 
@@ -151,16 +149,24 @@ def test_corner_interleaving():
         assert len(outside_corners(lam)) == len(corners(lam)) + 1
 
 
+def _is_order_ideal(cells):
+    return all(
+        (i == 1 or (i - 1, j) in cells) and (j == 1 or (i, j - 1) in cells)
+        for i, j in cells
+    )
+
+
 def test_cellwise_predicates_match_lists():
     lam = P((4, 4, 3, 1))
     for mu in all_subshapes(lam):
         corner_set = set(corners(mu))
-        outside_set = set(outside_corners(mu))
-        for row in range(1, 7):
-            for col in range(1, 7):
-                cell = Cell(row, col)
-                assert is_corner(cell, mu) == (cell in corner_set)
-                assert is_outside_corner(cell, mu) == (cell in outside_set)
+        mu_cells = set(mu.cells())
+        for cell in lam.cells():
+            # a toggle keeps the cell set an order ideal, checked directly
+            removable = cell in mu_cells and _is_order_ideal(mu_cells - {cell})
+            addable = cell not in mu_cells and _is_order_ideal(mu_cells | {cell})
+            assert can_toggle_out(cell, mu, lam) == removable
+            assert can_toggle_in(cell, mu, lam) == addable
         assert corner_count(mu) == len(corner_set)
         assert proper_outside_corner_count(mu, lam) == len(
             proper_outside_corners(mu, lam)
