@@ -17,17 +17,9 @@ joins the dropped value back into the cell and shifts rows up; the result
 is a valid tableau whenever the triple is a valid one.
 """
 
-from dataclasses import dataclass
-
-from .reports import VerificationReport
+from .reports import Record, VerificationReport
 from .shapes import Cell
-from .tableaux import (
-    ReversePlanePartition,
-    classify,
-    enumerate_bssyt,
-    rpp_unchecked,
-    svt_unchecked,
-)
+from .tableaux import enumerate_bssyt, rpp_unchecked, svt_unchecked
 
 __all__ = [
     "CornerTriple",
@@ -40,19 +32,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CornerTriple:
+_NOT_BARELY = "input must be barely set-valued: exactly one doubled cell"
+
+
+class _Triple(Record):
+    """Reverse plane partition, level, and a designated cell; immutable, and
+    checked at construction by the subclass's _check."""
+
+    __slots__ = _fields = ("rpp", "level", "cell")
+
+    def __init__(self, rpp, level, cell):
+        self._check(rpp, level, cell)
+        set_field = object.__setattr__
+        set_field(self, "rpp", rpp)
+        set_field(self, "level", level)
+        set_field(self, "cell", cell)
+
+
+class CornerTriple(_Triple):
     """Reverse plane partition, level, and a designated corner of the
     level-induced subshape."""
 
-    rpp: ReversePlanePartition
-    level: int
-    cell: Cell
+    __slots__ = ()
 
-    def __post_init__(self):
-        P, i, (r, c) = self.rpp, self.level, self.cell
+    @staticmethod
+    def _check(P, i, cell):
         if not 1 <= i <= P.k:
             raise ValueError(f"level {i} outside [1, {P.k}]")
+        r, c = cell
         inside = P.shape.contains_cell
         if not (
             inside((r, c))
@@ -60,24 +67,20 @@ class CornerTriple:
             and (not inside((r, c + 1)) or P.entry(r, c + 1) >= i)
             and (not inside((r + 1, c)) or P.entry(r + 1, c) >= i)
         ):
-            raise ValueError(
-                f"{tuple(self.cell)} is not a corner of the level-{self.level} subshape"
-            )
+            raise ValueError(f"{tuple(cell)} is not a corner of the level-{i} subshape")
 
 
-@dataclass(frozen=True)
-class OutsideTriple:
+class OutsideTriple(_Triple):
     """Reverse plane partition, level, and a designated proper outside corner
     of the level-induced subshape."""
 
-    rpp: ReversePlanePartition
-    level: int
-    cell: Cell
+    __slots__ = ()
 
-    def __post_init__(self):
-        Q, j, (r, c) = self.rpp, self.level, self.cell
+    @staticmethod
+    def _check(Q, j, cell):
         if not 1 <= j <= Q.k:
             raise ValueError(f"level {j} outside [1, {Q.k}]")
+        r, c = cell
         # inside a diagram, only the first column and row lack those neighbours
         if not (
             Q.shape.contains_cell((r, c))
@@ -86,34 +89,43 @@ class OutsideTriple:
             and (r == 1 or Q.entry(r - 1, c) < j)
         ):
             raise ValueError(
-                f"{tuple(self.cell)} is not a proper outside corner of the "
-                f"level-{self.level} subshape"
+                f"{tuple(cell)} is not a proper outside corner of the level-{j} subshape"
             )
 
 
-def _doubled_cell(T):
-    """0-based (row, col) of the one doubled cell of a barely set-valued T."""
-    if classify(T) != "BSSYT":
-        raise ValueError("input must be barely set-valued: exactly one doubled cell")
-    for t, row in enumerate(T.rows):
-        for j, cell in enumerate(row):
-            if len(cell) == 2:
-                return t, j
+def _shifted(T):
+    """Shift row t of T down by t, keeping each cell's smallest entry.
+
+    Returns the list of shifted rows and the doubled cell as its 0-based
+    row, column and entry pair.  A row whose lengths sum to its width and
+    that has no empty cell holds only singletons, so only the row with the
+    doubled cell is looked into; this one scan rejects every T that is not
+    barely set-valued.
+    """
+    rows, doubled = [], None
+    for t, row in enumerate(T.rows, start=1):
+        if sum(map(len, row)) != len(row) or not all(row):
+            for j, cell in enumerate(row):
+                if len(cell) != 1:
+                    if len(cell) != 2 or doubled is not None:
+                        raise ValueError(_NOT_BARELY)
+                    doubled = t - 1, j, cell
+        rows.append(tuple([cell[0] - t for cell in row]))
+    if doubled is None:
+        raise ValueError(_NOT_BARELY)
+    return rows, doubled
 
 
-def _shifted_rows_dropping(T, t0, j0, kept):
-    """Row-shift T down, keeping only `kept` of the doubled cell at (t0, j0)."""
-    rows = [[cell[0] - t for cell in row] for t, row in enumerate(T.rows, start=1)]
-    rows[t0][j0] = kept - (t0 + 1)
-    return tuple(map(tuple, rows))
+def _replaced(row, j, value):
+    return row[:j] + (value,) + row[j + 1 :]
 
 
 def _joined(P, cell, low, high):
     """Shift row t of P up by t, with the doubled cell holding {low, high}."""
     r, c = cell
-    rows = [[(v + t,) for v in row] for t, row in enumerate(P.rows, start=1)]
-    rows[r - 1][c - 1] = (low + r, high + r)
-    return svt_unchecked(P.shape, tuple(map(tuple, rows)), P.k)
+    rows = [tuple([(v + t,) for v in row]) for t, row in enumerate(P.rows, start=1)]
+    rows[r - 1] = _replaced(rows[r - 1], c - 1, (low + r, high + r))
+    return svt_unchecked(P.shape, tuple(rows), P.k)
 
 
 def bssyt_to_corner(T):
@@ -124,10 +136,9 @@ def bssyt_to_corner(T):
     entry a - r lies below the level, while the cells right of and below it
     hold entries at least b - r.
     """
-    t0, j0 = _doubled_cell(T)
-    a, b = T.rows[t0][j0]
+    rows, (t0, j0, (_, b)) = _shifted(T)
     r = t0 + 1
-    P = rpp_unchecked(T.shape, _shifted_rows_dropping(T, t0, j0, a), T.k)
+    P = rpp_unchecked(T.shape, tuple(rows), T.k)
     return CornerTriple(P, b - r, Cell(r, j0 + 1))
 
 
@@ -149,10 +160,10 @@ def bssyt_to_outside(T):
     subshape: its remaining entry b - r is at least j, while the cells above
     and to the left hold entries at most a - r < j.
     """
-    t0, j0 = _doubled_cell(T)
-    a, b = T.rows[t0][j0]
+    rows, (t0, j0, (a, b)) = _shifted(T)
     r = t0 + 1
-    Q = rpp_unchecked(T.shape, _shifted_rows_dropping(T, t0, j0, b), T.k)
+    rows[t0] = _replaced(rows[t0], j0, b - r)
+    Q = rpp_unchecked(T.shape, tuple(rows), T.k)
     return OutsideTriple(Q, a - r + 1, Cell(r, j0 + 1))
 
 

@@ -10,8 +10,10 @@ The polynomial is computed by a dynamic program keyed on the reachable
 permutations level by level, which stays within n! states instead of
 walking all (n-1)**length letter sequences; the plain walk is kept as
 fk_polynomial_bruteforce and serves as the test oracle for the dynamic
-program.  Ratio identities are checked in cleared-denominator form over
-integer polynomials, never by dividing.
+program.  Every level of the program is the polynomial at one word length,
+so the ratio identities read lengths ell and ell + 1 off a single pass.
+They are checked in cleared-denominator form over integer polynomials,
+never by dividing.
 """
 
 import itertools
@@ -164,18 +166,26 @@ def _expand_level(states, linears):
     return out
 
 
-def fk_polynomial(w, ell):
-    """Sum of the letter products (x + i_1)...(x + i_ell) over all length-ell
-    words folding to w; the zero polynomial when no such word exists."""
+def _fk_levels(w, top):
+    """The word polynomials of w at every length 0..top, from one DP pass."""
     w = permutation(w)
-    if ell < 0:
+    if top < 0:
         raise ValueError("word length must be nonnegative")
     n = len(w)
     linears = [(i, IntPolynomial.linear(i)) for i in range(1, n)]
     states = {identity(n): IntPolynomial.one()}
-    for _ in range(ell):
+    zero = IntPolynomial.zero()
+    levels = [states.get(w, zero)]
+    for _ in range(top):
         states = _expand_level(states, linears)
-    return states.get(w, IntPolynomial.zero())
+        levels.append(states.get(w, zero))
+    return levels
+
+
+def fk_polynomial(w, ell):
+    """Sum of the letter products (x + i_1)...(x + i_ell) over all length-ell
+    words folding to w; the zero polynomial when no such word exists."""
+    return _fk_levels(w, ell)[ell]
 
 
 def fk_polynomial_bruteforce(w, ell):
@@ -267,8 +277,7 @@ def verify_fk_ratio(lam, k_values=(1, 2, 3)):
     w = dominant_from_partition(lam)
     ell = length(w)
     r, c = lam.rows, lam.cols
-    f_ell = fk_polynomial(w, ell)
-    f_next = fk_polynomial(w, ell + 1)
+    f_ell, f_next = _fk_levels(w, ell + 1)[ell:]
     clear = ell * (r + c)
     lhs = f_next * clear
     rhs = f_ell * IntPolynomial.linear(clear, 2 * r * c) * binomial(ell + 1, 2)
@@ -300,8 +309,8 @@ def verify_fk_bssyt_relation(lam, k):
         raise ValueError("k must be positive")
     w = dominant_from_partition(lam)
     ell = length(w)
-    value_next = fk_polynomial(w, ell + 1).evaluate(k)
-    value_ell = fk_polynomial(w, ell).evaluate(k)
+    f_ell, f_next = _fk_levels(w, ell + 1)[ell:]
+    value_ell, value_next = f_ell.evaluate(k), f_next.evaluate(k)
     ssyt = count_ssyt(lam, k)
     bssyt = count_bssyt(lam, k)
     lhs = value_next * ssyt

@@ -2,17 +2,18 @@
 
 Every checked claim in the package ends as a VerificationReport; exact
 values (Fractions, integer polynomials, partitions, cells) are lowered to
-strings or integers only when the report is serialized.
+strings or integers only when the report is serialized.  Record, the
+immutable base of the reports and of the bijection triples, is written out
+by hand: the dataclasses module would pull inspect, ast, dis and tokenize
+into every import of the package.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from .exactmath import IntPolynomial
 from .shapes import Cell, NotBalancedError, Partition, is_balanced
 
-__all__ = ["VerificationReport", "require_balanced"]
+__all__ = ["Record", "VerificationReport", "require_balanced"]
 
 
 def _encode(value):
@@ -43,15 +44,52 @@ def _encode_key(key):
     return encoded if isinstance(encoded, str) else str(encoded)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class Record:
+    """Immutable slots named by the class's _fields, equal when the class
+    and every field are; a subclass's __init__ sets each field once with
+    object.__setattr__."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which a subclass may check
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class VerificationReport(Record):
     """One checked claim: exact left and right values plus their equality."""
 
-    claim: str
-    params: dict
-    lhs: Any
-    rhs: Any
-    equal: bool
+    __slots__ = _fields = ("claim", "params", "lhs", "rhs", "equal")
+
+    def __init__(self, claim, params, lhs, rhs, equal):
+        set_field = object.__setattr__
+        set_field(self, "claim", claim)
+        set_field(self, "params", params)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "equal", equal)
 
     def as_dict(self):
         return {

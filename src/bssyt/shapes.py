@@ -12,7 +12,6 @@ is integer arithmetic: the balanced test cross-multiplies instead of
 comparing slopes, so there is no tolerance anywhere.
 """
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -214,8 +213,7 @@ def jaggedness(mu, lam):
     return corner_count(mu) + proper_outside_corner_count(mu, lam)
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     """Boundary path of a subshape across the ambient diagram's bounding box.
 
     steps runs from the bottom-left to the top-right corner of the bounding

@@ -10,10 +10,11 @@ and columns weakly increasing.
 The enumerators walk cells in row-major order choosing values in ascending
 order, so each family comes out in a fixed order: lexicographic in the flat
 entry stream (the barely set-valued family is grouped by the position of
-the doubled cell first).  They are the counting oracles that the identity
-checks elsewhere in the package are measured against, so they stay
-deliberately direct: plain backtracking with feasibility pruning against
-the left and upper neighbors only.
+the doubled cell first).  They stay deliberately direct, plain backtracking
+with feasibility pruning against the left and upper neighbors only, because
+they are the oracles of the counters.  count_ssyt and count_bssyt do not
+enumerate: one column-profile dynamic program yields both.  count_rpp does
+enumerate, so that the row shift's count identity compares two routes.
 """
 
 from bisect import bisect_left
@@ -31,12 +32,14 @@ __all__ = [
     "enumerate_rpp",
     "enumerate_ssyt",
     "induced_subshape",
+    "require_bound",
     "rpp_to_ssyt",
     "ssyt_to_rpp",
 ]
 
 
-def _require_bound(k):
+def require_bound(k):
+    """Reject a bound k that is not a positive int (bool included)."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"bound k must be a positive integer, got {k!r}")
 
@@ -88,7 +91,7 @@ class SetValuedTableau:
 
     def validate(self):
         """Re-check every invariant; raises ValueError on the first failure."""
-        _require_bound(self.k)
+        require_bound(self.k)
         if len(self.rows) != self.shape.rows:
             raise ValueError("row count does not match the shape")
         for t, (row, width) in enumerate(zip(self.rows, self.shape.parts), start=1):
@@ -169,7 +172,7 @@ class ReversePlanePartition:
         self.validate()
 
     def validate(self):
-        _require_bound(self.k)
+        require_bound(self.k)
         if len(self.rows) != self.shape.rows:
             raise ValueError("row count does not match the shape")
         for t, (row, width) in enumerate(zip(self.rows, self.shape.parts), start=1):
@@ -319,14 +322,57 @@ def _rpp_grids(shape, k):
 
 def enumerate_ssyt(shape, k):
     """All flagged semistandard tableaux of the shape, lexicographic order."""
-    _require_bound(k)
+    require_bound(k)
     for rows in _setvalued_grids(shape, k, None):
         yield svt_unchecked(shape, rows, k)
 
 
+def _accumulate(states, profile, single, doubled):
+    old_single, old_doubled = states.get(profile, (0, 0))
+    states[profile] = (old_single + single, old_doubled + doubled)
+
+
+def _flagged_counts(shape, k):
+    """(|SSYT(shape, k)|, |BSSYT(shape, k)|) by one column-profile pass.
+
+    Cells are taken in row-major order; a state is the tuple of the largest
+    entry placed so far in each column still to be reached, carrying the
+    number of fillings with no doubled cell and with one.  A cell in row t
+    (1-based) whose left and upper neighbours force its entries up to at
+    least lo can take the maximum b for any b in [lo, k + t]: as the
+    singleton {b}, or as one of the b - lo pairs {a, b} with lo <= a < b.
+    Each row starts by dropping the columns it does not reach, so equal
+    futures share one state; the first row starts from zeros.
+    """
+    require_bound(k)
+    states = {(): (1, 0)}
+    for t, width in enumerate(shape.parts, start=1):
+        truncated = {}
+        for profile, (single, doubled) in states.items():
+            profile = profile[:width] + (0,) * (width - len(profile))
+            _accumulate(truncated, profile, single, doubled)
+        states = truncated
+        for j in range(width):
+            advanced = {}
+            for profile, (single, doubled) in states.items():
+                lo = profile[j] + 1
+                if j and profile[j - 1] > lo:
+                    lo = profile[j - 1]
+                head, tail = profile[:j], profile[j + 1 :]
+                for b in range(lo, k + t + 1):
+                    _accumulate(
+                        advanced, head + (b,) + tail, single, doubled + single * (b - lo)
+                    )
+            states = advanced
+    return (
+        sum(single for single, _ in states.values()),
+        sum(doubled for _, doubled in states.values()),
+    )
+
+
 def count_ssyt(shape, k):
-    _require_bound(k)
-    return sum(1 for _ in _setvalued_grids(shape, k, None))
+    """|SSYT(shape, k)|; enumerate_ssyt is its oracle."""
+    return _flagged_counts(shape, k)[0]
 
 
 def enumerate_bssyt(shape, k):
@@ -335,7 +381,7 @@ def enumerate_bssyt(shape, k):
     Grouped by the doubled cell position in row-major order; within a group
     the order is lexicographic in the entry stream.
     """
-    _require_bound(k)
+    require_bound(k)
     for t in range(shape.rows):
         for j in range(shape.parts[t]):
             for rows in _setvalued_grids(shape, k, (t, j)):
@@ -343,24 +389,19 @@ def enumerate_bssyt(shape, k):
 
 
 def count_bssyt(shape, k):
-    _require_bound(k)
-    return sum(
-        1
-        for t in range(shape.rows)
-        for j in range(shape.parts[t])
-        for _ in _setvalued_grids(shape, k, (t, j))
-    )
+    """|BSSYT(shape, k)|; enumerate_bssyt is its oracle."""
+    return _flagged_counts(shape, k)[1]
 
 
 def enumerate_rpp(shape, k):
     """All reverse plane partitions of the shape with entries at most k."""
-    _require_bound(k)
+    require_bound(k)
     for rows in _rpp_grids(shape, k):
         yield rpp_unchecked(shape, rows, k)
 
 
 def count_rpp(shape, k):
-    _require_bound(k)
+    require_bound(k)
     return sum(1 for _ in _rpp_grids(shape, k))
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from bssyt.bijections import (
@@ -90,6 +92,25 @@ def test_malformed_triples_rejected():
     # proper outside corner; the constructors accept exactly those
     CornerTriple(rpp, 2, Cell(2, 1))
     OutsideTriple(rpp, 2, Cell(2, 2))
+
+
+def test_triples_are_immutable_values():
+    rpp = ReversePlanePartition.parse("0,0/1", k=1)
+    corner = CornerTriple(rpp, 1, Cell(1, 2))
+    same = CornerTriple(ReversePlanePartition.parse("0,0/1", k=1), 1, Cell(1, 2))
+    assert corner == same and hash(corner) == hash(same)
+    outside = OutsideTriple(rpp, 1, Cell(2, 1))
+    assert outside != corner and outside != (rpp, 1, Cell(2, 1))
+    assert pickle.loads(pickle.dumps(outside)) == outside
+    assert repr(corner) == (
+        "CornerTriple(rpp=ReversePlanePartition('0,0/1', k=1), level=1, cell=Cell(row=1, col=2))"
+    )
+    with pytest.raises(AttributeError):
+        corner.level = 2
+    with pytest.raises(AttributeError):
+        del outside.cell
+    with pytest.raises(AttributeError):
+        corner.extra = 0
 
 
 def _accepts(triple_type, rpp, level, cell):

@@ -17,25 +17,42 @@ from bssyt.jaggedness import (
 )
 from bssyt.reports import VerificationReport
 from bssyt.shapes import NotBalancedError, Partition, all_subshapes
-from bssyt.tableaux import count_bssyt, count_ssyt, enumerate_rpp, induced_subshape
+from bssyt.tableaux import (
+    count_bssyt,
+    count_rpp,
+    count_ssyt,
+    enumerate_rpp,
+    induced_subshape,
+)
 
 P = Partition
 
 
+def _pair_walk(lam, k):
+    """The weak histogram by walking every (reverse plane partition, level) pair."""
+    walked = {}
+    for rpp in enumerate_rpp(lam, k):
+        for i in range(1, k + 1):
+            mu = induced_subshape(rpp, i).parts
+            walked[mu] = walked.get(mu, 0) + 1
+    return walked
+
+
 def test_weak_histogram_against_pair_walk():
-    for parts in ((1,), (2, 1), (3, 1), (2, 2, 1, 1), (4, 4, 2, 1)):
-        lam = P(parts)
-        subshapes = {mu.parts for mu in all_subshapes(lam)}
-        for k in (1, 2):
-            histogram = weak_histogram(lam, k)
-            walked = {}
-            for rpp in enumerate_rpp(lam, k):
-                for i in range(1, k + 1):
-                    mu = induced_subshape(rpp, i).parts
-                    walked[mu] = walked.get(mu, 0) + 1
-            assert set(histogram) <= subshapes
-            assert sum(histogram.values()) == k * count_ssyt(lam, k)
-            assert dict(histogram) == walked
+    # every subshape of the 3x4 and 4x3 boxes, the empty shape included, at
+    # k <= 3, and (4, 4, 2, 1) at k <= 2
+    grid = [
+        (lam, k)
+        for box in (P((4, 4, 4)), P((3, 3, 3, 3)))
+        for lam in all_subshapes(box)
+        for k in (1, 2, 3)
+    ]
+    grid += [(P((4, 4, 2, 1)), 1), (P((4, 4, 2, 1)), 2)]
+    for lam, k in grid:
+        histogram = weak_histogram(lam, k)
+        assert set(histogram) == {mu.parts for mu in all_subshapes(lam)}
+        assert sum(histogram.values()) == k * count_rpp(lam, k)
+        assert dict(histogram) == _pair_walk(lam, k), (lam, k)
     with pytest.raises(ValueError):
         weak_histogram(P((1,)), 0)
 
@@ -191,5 +208,14 @@ def test_report_serialization():
     assert doc["lhs"] == "8/3" and doc["rhs"] == "8/3"
     assert doc["equal"] is True
     assert doc["params"]["shape"] == "2,2,1,1"
-    plain = VerificationReport("demo", {"n": 1}, 2, 2, True).as_dict()
-    assert plain == {"claim": "demo", "params": {"n": 1}, "lhs": 2, "rhs": 2, "equal": True}
+    plain = VerificationReport("demo", {"n": 1}, 2, 2, True)
+    assert plain.as_dict() == {
+        "claim": "demo", "params": {"n": 1}, "lhs": 2, "rhs": 2, "equal": True
+    }
+    assert plain == VerificationReport(claim="demo", params={"n": 1}, lhs=2, rhs=2, equal=True)
+    assert plain != VerificationReport("demo", {"n": 1}, 2, 3, False)
+    assert repr(plain) == (
+        "VerificationReport(claim='demo', params={'n': 1}, lhs=2, rhs=2, equal=True)"
+    )
+    with pytest.raises(AttributeError):
+        plain.equal = False

@@ -1,6 +1,6 @@
 import pytest
 
-from bssyt.shapes import Partition, subshape_contained
+from bssyt.shapes import Partition, all_subshapes, subshape_contained
 from bssyt.tableaux import (
     ReversePlanePartition,
     SetValuedTableau,
@@ -61,6 +61,15 @@ def test_enumerate_ssyt_counts():
     assert count_ssyt(P((2, 1)), 1) == 5
     assert count_ssyt(P((2,)), 3) == 10
     assert count_ssyt(P(()), 5) == 1
+
+
+def test_profile_counts_against_enumerators():
+    # every subshape of the 3x4 and 4x3 boxes, the empty shape included, at k <= 3
+    for box in (P((4, 4, 4)), P((3, 3, 3, 3))):
+        for lam in all_subshapes(box):
+            for k in (1, 2, 3):
+                assert count_ssyt(lam, k) == sum(1 for _ in enumerate_ssyt(lam, k))
+                assert count_bssyt(lam, k) == sum(1 for _ in enumerate_bssyt(lam, k))
 
 
 def test_enumerate_ssyt_contents():
@@ -124,6 +133,8 @@ def test_bad_bound_rejected():
         list(enumerate_rpp(P((1,)), -2))
     with pytest.raises(ValueError):
         count_ssyt(P((1,)), True)
+    with pytest.raises(ValueError):
+        count_bssyt(P((1,)), 0)
 
 
 def test_row_shift_example():
