@@ -21,7 +21,7 @@ import math
 
 from .exactmath import IntPolynomial, binomial
 from .reports import VerificationReport, require_balanced
-from .tableaux import count_bssyt, count_ssyt
+from .tableaux import count_bssyt, count_ssyt, require_bound
 
 __all__ = [
     "count_reduced_words",
@@ -305,8 +305,7 @@ def verify_fk_bssyt_relation(lam, k):
     """Cross-module bridge: polynomial evaluations at k against the two
     tableau counts, in cleared integer form; dominance comes free from the
     code being a partition, no balance needed."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    require_bound(k)
     w = dominant_from_partition(lam)
     ell = length(w)
     f_ell, f_next = _fk_levels(w, ell + 1)[ell:]

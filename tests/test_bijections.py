@@ -2,6 +2,7 @@ import pickle
 
 import pytest
 
+from bssyt import bijections
 from bssyt.bijections import (
     CornerTriple,
     OutsideTriple,
@@ -16,6 +17,7 @@ from bssyt.tableaux import (
     ReversePlanePartition,
     SetValuedTableau,
     classify,
+    count_bssyt,
     enumerate_bssyt,
     enumerate_rpp,
     induced_subshape,
@@ -183,3 +185,85 @@ def test_verify_roundtrip_report():
     assert report.equal
     assert report.lhs == report.rhs
     assert report.params["tableaux"] == report.rhs[0]
+    assert report.params["method"] == "row-transfer"
+    assert report.params["peak_states"] == 6  # row 1: two entries in [1, 3]
+    report = verify_roundtrip(P((4, 4, 2, 1)), 3)
+    assert report.equal and report.lhs == report.rhs == [39732, 39732]
+    assert report.params["tableaux"] == count_bssyt(P((4, 4, 2, 1)), 3)
+    empty = verify_roundtrip(P(()), 1)
+    assert empty.equal and empty.lhs == [0, 0] and empty.params["tableaux"] == 0
+    for bad in (0, True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            verify_roundtrip(P((2, 1)), bad)
+
+
+def _walk_roundtrip(lam, k):
+    """The per-tableau oracle: (tableaux, corner round trips that hold,
+    outside round trips that hold), a raised ValueError or a changed
+    tableau counting as a failure."""
+    total = corner_ok = outside_ok = 0
+    for T in enumerate_bssyt(lam, k):
+        total += 1
+        try:
+            corner_ok += corner_to_bssyt(bssyt_to_corner(T)) == T
+        except ValueError:
+            pass
+        try:
+            outside_ok += outside_to_bssyt(bssyt_to_outside(T)) == T
+        except ValueError:
+            pass
+    return total, corner_ok, outside_ok
+
+
+def _counted(report):
+    return (report.params["tableaux"], *report.lhs)
+
+
+def test_roundtrip_count_against_tableau_walk():
+    for box in ((4, 4, 4), (3, 3, 3, 3)):
+        for lam in all_subshapes(P(box)):
+            for k in (1, 2, 3):
+                report = verify_roundtrip(lam, k)
+                assert report.equal, (lam, k)
+                assert _counted(report) == _walk_roundtrip(lam, k), (lam, k)
+
+
+def _slipped_corner(row, below, c, level, k):
+    # _is_corner with > for >= against the right neighbour
+    return (
+        1 <= level <= k
+        and row[c] < level
+        and (c + 1 == len(row) or row[c + 1] > level)
+        and (c >= len(below) or below[c] >= level)
+    )
+
+
+def _slipped_join(row, t, doubled=None):
+    # _join_row shifting the singleton cells up by t - 1 instead of t
+    cells = [(v + t - 1,) for v in row]
+    if doubled is not None:
+        c, low, high = doubled
+        cells[c] = (low + t, high + t)
+    return tuple(cells)
+
+
+@pytest.mark.parametrize(
+    "helper, mutant", [("_is_corner", _slipped_corner), ("_join_row", _slipped_join)]
+)
+def test_roundtrip_count_sees_a_slipped_row_step(monkeypatch, helper, mutant):
+    # the maps, the triple checks and the count share the row steps, so a
+    # slip in one is seen by the count exactly as by the walk
+    monkeypatch.setattr(bijections, helper, mutant)
+    for parts, k in (((1,), 2), ((2, 1), 2), ((2, 2), 2), ((3, 2, 1), 2), ((4, 4, 2, 1), 1)):
+        report = verify_roundtrip(P(parts), k)
+        walked = _walk_roundtrip(P(parts), k)
+        assert _counted(report) == walked
+        assert report.params["tableaux"] == count_bssyt(P(parts), k)
+        total, corner_ok, outside_ok = walked
+        if parts == (1,):
+            # one cell: no right or lower neighbour, and no singleton cell
+            assert report.equal and corner_ok == outside_ok == total
+        elif helper == "_is_corner":
+            assert not report.equal and 0 < corner_ok < total == outside_ok
+        else:
+            assert not report.equal and corner_ok == outside_ok == 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bssyt import hecke
 from bssyt.exactmath import IntPolynomial
 from bssyt.hecke import (
     count_reduced_words,
@@ -215,7 +216,7 @@ def test_staircase_ratio_factor_rewrite():
                 assert 2 * r * c * d * (a + b) == 4 * ell * (r + c)
 
 
-def test_fk_bssyt_relation():
+def test_fk_bssyt_relation(monkeypatch):
     report = verify_fk_bssyt_relation(P((1,)), 2)
     assert report.equal
     assert report.params["fk_next_at_k"] == 9 and report.params["fk_at_k"] == 3
@@ -226,5 +227,8 @@ def test_fk_bssyt_relation():
     assert report.equal
     report = verify_fk_bssyt_relation(P(()), 2)
     assert report.equal and report.lhs == 0 and report.rhs == 0
-    with pytest.raises(ValueError):
-        verify_fk_bssyt_relation(P((1,)), 0)
+    # a bad bound is refused before the word DP runs
+    monkeypatch.setattr(hecke, "_fk_levels", None)
+    for bad in (0, True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            verify_fk_bssyt_relation(P((3, 3, 2, 2)), bad)
