@@ -4,6 +4,12 @@ One command per invocation, flags only, machine-readable output.  Exit
 codes: 0 every checked identity holds, 1 a checked identity fails, 2
 invalid input (including balanced-only claims on unbalanced shapes), 3 a
 run refused up front by --limit.
+
+Each call builds only the parser of the command it was given
+(`command_parser`).  Help, a missing or unknown command and leftover
+arguments go through `build_parser()`, the full parser that lists every
+command, so their text and exit codes are those of argparse's subparsers.
+Both are put together from one definition per command in `_COMMANDS`.
 """
 
 import argparse
@@ -14,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import bijections, hecke, jaggedness
-from .shapes import Partition, is_balanced
+from .shapes import Partition, is_balanced, rect_staircase
 from .tableaux import count_bssyt, count_rpp, count_ssyt
 
 CLAIMS = (
@@ -37,7 +43,80 @@ class LimitExceeded(Exception):
     pass
 
 
+def _add_common(p):
+    p.add_argument(
+        "--format", choices=("json", "csv", "text"), default="text",
+        help="output format (default: text)",
+    )
+    p.add_argument(
+        "--limit", type=int, default=None,
+        help="refuse runs whose size heuristic (k + rows) * cells exceeds this",
+    )
+
+
+def _count_arguments(p):
+    p.add_argument("kind", choices=sorted(_COUNTERS))
+    p.add_argument("--shape", required=True, help='comma-separated parts, "" for empty')
+    p.add_argument("--k", type=int, required=True)
+    _add_common(p)
+
+
+def _verify_arguments(p):
+    p.add_argument("claim", choices=CLAIMS)
+    p.add_argument("--shape")
+    p.add_argument("--k", type=int)
+    p.add_argument("--a", type=int)
+    p.add_argument("--b", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--n", type=int)
+    _add_common(p)
+
+
+def _expected_arguments(p):
+    p.add_argument("--shape", required=True)
+    p.add_argument("--k", type=int, required=True)
+    _add_common(p)
+
+
+_VERIFY_EPILOG = (
+    "claims:\n"
+    "  conjecture11  staircase count factor: bssyt = (k*a*b*(d-1)/(a+b)) * ssyt"
+    "  (--a --b --d --k)\n"
+    "  theorem31     balanced count factor: bssyt = (k*r*c/(r+c)) * ssyt"
+    "  (--shape --k; balanced only)\n"
+    "  theorem21     expected jaggedness equals 2rc/(r+c), from the weak"
+    " subshape histogram (balanced only)\n"
+    "  theorem22     same expectation summed over every subshape, with a"
+    " normalization check (balanced only)\n"
+    "  doublesums    corner and outside-corner ensemble sums both equal the"
+    " bssyt count (any shape)\n"
+    "  togglesym     per-cell toggle-in/out sums agree across the pair"
+    " ensemble (any shape)\n"
+    "  roundtrip     both corner representations invert on every bssyt\n"
+    "  fk14          longest-permutation word polynomial against both"
+    " product-formula variants (--n)\n"
+    "  fk36          word-polynomial ratio identity for a balanced dominant"
+    " code (--shape, optional --k)\n"
+    "  fk37          word-polynomial ratio at x=k against the two tableau"
+    " counts (--shape --k)\n"
+)
+
+# name -> (help in the command list, parser keyword arguments, argument adder)
+_COMMANDS = {
+    "count": ("count one tableau family exactly", {}, _count_arguments),
+    "verify": (
+        "check one identity and report lhs/rhs",
+        {"formatter_class": argparse.RawDescriptionHelpFormatter, "epilog": _VERIFY_EPILOG},
+        _verify_arguments,
+    ),
+    "expected-jaggedness": (
+        "exact expected jaggedness under the weak distribution", {}, _expected_arguments,
+    ),
+}
+
+
 def build_parser():
+    """The full parser: every command under one subparser list."""
     parser = argparse.ArgumentParser(
         prog="bssyt",
         description=(
@@ -46,67 +125,30 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="text",
-            help="output format (default: text)",
-        )
-        p.add_argument(
-            "--limit", type=int, default=None,
-            help="refuse runs whose size heuristic (k + rows) * cells exceeds this",
-        )
-
-    p_count = sub.add_parser("count", help="count one tableau family exactly")
-    p_count.add_argument("kind", choices=sorted(_COUNTERS))
-    p_count.add_argument("--shape", required=True, help='comma-separated parts, "" for empty')
-    p_count.add_argument("--k", type=int, required=True)
-    add_common(p_count)
-
-    p_verify = sub.add_parser(
-        "verify",
-        help="check one identity and report lhs/rhs",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "claims:\n"
-            "  conjecture11  staircase count factor: bssyt = (k*a*b*(d-1)/(a+b)) * ssyt"
-            "  (--a --b --d --k)\n"
-            "  theorem31     balanced count factor: bssyt = (k*r*c/(r+c)) * ssyt"
-            "  (--shape --k; balanced only)\n"
-            "  theorem21     expected jaggedness equals 2rc/(r+c), from the weak"
-            " subshape histogram (balanced only)\n"
-            "  theorem22     same expectation summed over every subshape, with a"
-            " normalization check (balanced only)\n"
-            "  doublesums    corner and outside-corner ensemble sums both equal the"
-            " bssyt count (any shape)\n"
-            "  togglesym     per-cell toggle-in/out sums agree across the pair"
-            " ensemble (any shape)\n"
-            "  roundtrip     both corner representations invert on every bssyt\n"
-            "  fk14          longest-permutation word polynomial against both"
-            " product-formula variants (--n)\n"
-            "  fk36          word-polynomial ratio identity for a balanced dominant"
-            " code (--shape, optional --k)\n"
-            "  fk37          word-polynomial ratio at x=k against the two tableau"
-            " counts (--shape --k)\n"
-        ),
-    )
-    p_verify.add_argument("claim", choices=CLAIMS)
-    p_verify.add_argument("--shape")
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--a", type=int)
-    p_verify.add_argument("--b", type=int)
-    p_verify.add_argument("--d", type=int)
-    p_verify.add_argument("--n", type=int)
-    add_common(p_verify)
-
-    p_exp = sub.add_parser(
-        "expected-jaggedness", help="exact expected jaggedness under the weak distribution"
-    )
-    p_exp.add_argument("--shape", required=True)
-    p_exp.add_argument("--k", type=int, required=True)
-    add_common(p_exp)
-
+    for name, (help_text, kwargs, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text, **kwargs))
     return parser
+
+
+def command_parser(name):
+    """The parser of one command alone, equal to its subparser in
+    `build_parser()`."""
+    _, kwargs, add_arguments = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"bssyt {name}", **kwargs)
+    add_arguments(parser)
+    return parser
+
+
+def _parse_args(argv):
+    """Parse with only the named command's parser; help, a missing or an
+    unknown command, and leftover arguments go through `build_parser()`,
+    which reports them as it always has."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _need(args, *names):
@@ -118,6 +160,8 @@ def _need(args, *names):
 def _check_limit(shape, k, limit):
     if limit is None:
         return
+    if limit < 0:
+        raise ValueError(f"--limit must be a non-negative integer, got {limit}")
     cost = (k + shape.rows) * shape.ncells
     if cost > limit:
         raise LimitExceeded(
@@ -135,8 +179,6 @@ def _run_verify(args):
     claim = args.claim
     if claim == "conjecture11":
         _need(args, "a", "b", "d", "k")
-        from .shapes import rect_staircase
-
         _check_limit(rect_staircase(args.a, args.b, args.d), args.k, args.limit)
         return jaggedness.verify_conjecture_rect(args.a, args.b, args.d, args.k).as_dict()
     if claim == "fk14":
@@ -265,8 +307,7 @@ def _dispatch(args, out):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return _dispatch(args, sys.stdout)
     except LimitExceeded as exc:

@@ -273,6 +273,8 @@ def verify_fk_ratio(lam, k_values=(1, 2, 3)):
     """Consecutive-length polynomial ratio for a dominant permutation whose
     code is a balanced shape; cleared-denominator polynomial identity plus a
     numeric spot check at each requested evaluation point."""
+    for k in k_values:
+        require_bound(k)
     require_balanced(lam)
     w = dominant_from_partition(lam)
     ell = length(w)

@@ -1,7 +1,12 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bssyt
 from bssyt import cli
 from bssyt.reports import VerificationReport
 
@@ -94,6 +99,10 @@ def test_verify_fk36_default_points(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["params"]["k_values"] == [1, 2, 3]
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "fk36", "--shape", "2,1", "--k", bad)
+        assert code == 2 and out == ""
+        assert err == f"error: bound k must be a positive integer, got {bad}\n"
 
 
 def test_verify_fk37(capsys):
@@ -125,6 +134,14 @@ def test_limit_refusal(capsys):
     code, out, _ = run(capsys, "count", "ssyt", "--shape", "1", "--k", "1",
                        "--limit", "1000")
     assert code == 0 and out == "2\n"
+    # a negative limit is bad input, not a limit that refuses every run
+    code, out, err = run(capsys, "verify", "roundtrip", "--shape", "1", "--k", "1",
+                         "--limit", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --limit must be a non-negative integer, got -1\n"
+    # a zero limit admits only the empty shape
+    code, out, _ = run(capsys, "count", "ssyt", "--shape", "", "--k", "1", "--limit", "0")
+    assert code == 0 and out == "1\n"
 
 
 def test_expected_jaggedness_outputs(capsys):
@@ -166,3 +183,93 @@ def test_failing_identity_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "doublesums", "--shape", "1", "--k", "1")
     assert code == 1
     assert out.startswith("FAIL")
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_command_parser_matches_subparser():
+    choices = _subparsers(cli.build_parser()).choices
+    assert set(choices) == {"count", "verify", "expected-jaggedness"}
+    for name, sub in choices.items():
+        lone = cli.command_parser(name)
+        assert lone.format_help() == sub.format_help()
+        assert lone.format_usage() == sub.format_usage()
+
+
+def _full_parser_result(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def _main_result(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "roundtrip", "--shape", "1", "--k", "1", "--threads", "2"],
+     "bssyt: error: unrecognized arguments: --threads 2\n"),
+    (["count", "ssyt", "--k", "1"],
+     "bssyt count: error: the following arguments are required: --shape\n"),
+    (["verify", "theorem99", "--shape", "1", "--k", "1"],
+     "bssyt verify: error: argument claim: invalid choice: 'theorem99'"),
+    (["expected-jaggedness", "--shape", "1", "--k", "x"],
+     "bssyt expected-jaggedness: error: argument --k: invalid int value: 'x'\n"),
+])
+def test_parse_errors_match_full_parser(capsys, argv, expected):
+    code, out, err = _main_result(capsys, argv)
+    assert (code, out, err) == _full_parser_result(capsys, argv)
+    assert code == 2 and out == "" and expected in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["frobnicate"]])
+def test_full_parser_lists_commands(capsys, argv):
+    code, out, err = _main_result(capsys, argv)
+    assert (code, out, err) == _full_parser_result(capsys, argv)
+    assert "{count,verify,expected-jaggedness}" in out + err
+    assert code == (0 if argv and argv[0].startswith("-") else 2)
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every ArgumentParser built while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_one_parser_per_command_call(capsys, parsers_built):
+    code, _, _ = run(capsys, "verify", "theorem31", "--shape", "2,1", "--k", "1")
+    assert code == 0
+    assert parsers_built == ["bssyt verify"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch, parsers_built):
+    monkeypatch.setattr(sys, "argv",
+                        ["bssyt", "verify", "theorem31", "--shape", "2,1", "--k", "1"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("PASS ")
+    assert parsers_built == ["bssyt verify"]
+
+
+def test_python_m_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bssyt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "bssyt", "verify", "theorem31", "--shape", "2,1", "--k", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS ")

@@ -196,13 +196,18 @@ def test_fk_ratio_single_box():
     assert report.rhs == report.lhs
 
 
-def test_fk_ratio_staircase():
+def test_fk_ratio_staircase(monkeypatch):
     report = verify_fk_ratio(P((2, 1)), [1, 2])
     assert report.equal
     assert report.params["polynomial_equal"] and report.params["numeric_equal"]
     assert report.params["permutation"] == "321"
     with pytest.raises(NotBalancedError):
         verify_fk_ratio(P((3, 1)))
+    # every evaluation point is checked before the word DP runs
+    monkeypatch.setattr(hecke, "_fk_levels", None)
+    for bad in (0, -3, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="bound k must be a positive integer"):
+            verify_fk_ratio(P((2, 1)), [1, bad])
 
 
 def test_staircase_ratio_factor_rewrite():
