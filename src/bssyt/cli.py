@@ -5,23 +5,28 @@ codes: 0 every checked identity holds, 1 a checked identity fails, 2
 invalid input (including balanced-only claims on unbalanced shapes), 3 a
 run refused up front by --limit.
 
-Each call builds only the parser of the command it was given
-(`command_parser`).  Help, a missing or unknown command and leftover
-arguments go through `build_parser()`, the full parser that lists every
-command, so their text and exit codes are those of argparse's subparsers.
-Both are put together from one definition per command in `_COMMANDS`.
+Each command's arguments are one table in `_COMMANDS`: (name, keyword
+arguments) pairs, the keyword arguments being those of `add_argument`.
+A well-formed command line (a known command, its positionals, exact long
+flags each followed by one value, every value of its declared type and
+choices, every required flag present) is read from that table straight
+into the Namespace argparse would give, without building a parser
+(`_read_args`).  Anything else goes to `build_parser()`, the full parser
+built from the same table, so help, usage and error text and exit codes
+are argparse's own.
 """
 
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import bijections, hecke, jaggedness
 from .shapes import Partition, is_balanced, rect_staircase
-from .tableaux import count_bssyt, count_rpp, count_ssyt
+from .tableaux import count_bssyt, count_rpp, count_ssyt, require_bound
 
 CLAIMS = (
     "conjecture11",
@@ -41,41 +46,6 @@ _COUNTERS = {"ssyt": count_ssyt, "bssyt": count_bssyt, "rpp": count_rpp}
 
 class LimitExceeded(Exception):
     pass
-
-
-def _add_common(p):
-    p.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text",
-        help="output format (default: text)",
-    )
-    p.add_argument(
-        "--limit", type=int, default=None,
-        help="refuse runs whose size heuristic (k + rows) * cells exceeds this",
-    )
-
-
-def _count_arguments(p):
-    p.add_argument("kind", choices=sorted(_COUNTERS))
-    p.add_argument("--shape", required=True, help='comma-separated parts, "" for empty')
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-
-def _verify_arguments(p):
-    p.add_argument("claim", choices=CLAIMS)
-    p.add_argument("--shape")
-    p.add_argument("--k", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    _add_common(p)
-
-
-def _expected_arguments(p):
-    p.add_argument("--shape", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
 
 
 _VERIFY_EPILOG = (
@@ -101,16 +71,45 @@ _VERIFY_EPILOG = (
     " counts (--shape --k)\n"
 )
 
-# name -> (help in the command list, parser keyword arguments, argument adder)
+_COMMON = (
+    ("--format", {"choices": ("json", "csv", "text"), "default": "text",
+                  "help": "output format (default: text)"}),
+    ("--limit", {"type": int, "default": None,
+                 "help": "refuse runs whose size heuristic (k + rows) * cells exceeds this"}),
+)
+
+# name -> (help in the command list, parser keyword arguments,
+#          (flag or positional name, add_argument keyword arguments) pairs)
 _COMMANDS = {
-    "count": ("count one tableau family exactly", {}, _count_arguments),
+    "count": (
+        "count one tableau family exactly",
+        {},
+        (
+            ("kind", {"choices": sorted(_COUNTERS)}),
+            ("--shape", {"required": True, "help": 'comma-separated parts, "" for empty'}),
+            ("--k", {"type": int, "required": True}),
+        ) + _COMMON,
+    ),
     "verify": (
         "check one identity and report lhs/rhs",
         {"formatter_class": argparse.RawDescriptionHelpFormatter, "epilog": _VERIFY_EPILOG},
-        _verify_arguments,
+        (
+            ("claim", {"choices": CLAIMS}),
+            ("--shape", {}),
+            ("--k", {"type": int}),
+            ("--a", {"type": int}),
+            ("--b", {"type": int}),
+            ("--d", {"type": int}),
+            ("--n", {"type": int}),
+        ) + _COMMON,
     ),
     "expected-jaggedness": (
-        "exact expected jaggedness under the weak distribution", {}, _expected_arguments,
+        "exact expected jaggedness under the weak distribution",
+        {},
+        (
+            ("--shape", {"required": True}),
+            ("--k", {"type": int, "required": True}),
+        ) + _COMMON,
     ),
 }
 
@@ -125,30 +124,55 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, kwargs, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text, **kwargs))
+    for name, (help_text, kwargs, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, **kwargs)
+        for flag, flag_kwargs in arguments:
+            command.add_argument(flag, **flag_kwargs)
     return parser
 
 
-def command_parser(name):
-    """The parser of one command alone, equal to its subparser in
-    `build_parser()`."""
-    _, kwargs, add_arguments = _COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"bssyt {name}", **kwargs)
-    add_arguments(parser)
-    return parser
+# argparse's own test for an option value that begins with "-"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _parse_args(argv):
-    """Parse with only the named command's parser; help, a missing or an
-    unknown command, and leftover arguments go through `build_parser()`,
-    which reports them as it always has."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+def _read_args(argv):
+    """The Namespace `build_parser().parse_args(argv)` gives for a well-formed
+    argv: a command, its positionals, and exact long flags each followed by
+    one value.  None for anything else (help, `--k=2`, abbreviations, `--`,
+    bad values, missing flags), which only argparse reports."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    table = dict(_COMMANDS[argv[0]][2])
+    positionals = [name for name in table if not name.startswith("-")]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, value = token, next(tokens, None)
+            if name not in table or value is None or (
+                value.startswith("-") and not _NEGATIVE_NUMBER.match(value)
+            ):
+                return None
+        elif positionals:
+            name, value = positionals.pop(0), token
+        else:
+            return None
+        kwargs = table[name]
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[name] = value
+    if positionals or any(
+        kwargs.get("required") and name not in given for name, kwargs in table.items()
+    ):
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        name.lstrip("-"): given.get(name, kwargs.get("default"))
+        for name, kwargs in table.items()
+    })
 
 
 def _need(args, *names):
@@ -158,10 +182,11 @@ def _need(args, *names):
 
 
 def _check_limit(shape, k, limit):
+    """Reject a bad bound k, then refuse a run whose size heuristic exceeds
+    limit, so bad input exits 2 whatever the limit."""
+    require_bound(k)
     if limit is None:
         return
-    if limit < 0:
-        raise ValueError(f"--limit must be a non-negative integer, got {limit}")
     cost = (k + shape.rows) * shape.ncells
     if cost > limit:
         raise LimitExceeded(
@@ -240,6 +265,8 @@ def _elapsed_ms(start):
 
 def _dispatch(args, out):
     start = time.perf_counter()
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be a non-negative integer, got {args.limit}")
     if args.command == "count":
         shape = Partition.from_text(args.shape)
         _check_limit(shape, args.k, args.limit)
@@ -307,7 +334,10 @@ def _dispatch(args, out):
 
 
 def main(argv=None):
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return _dispatch(args, sys.stdout)
     except LimitExceeded as exc:

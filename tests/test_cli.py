@@ -1,10 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bssyt
 from bssyt import cli
@@ -134,14 +138,27 @@ def test_limit_refusal(capsys):
     code, out, _ = run(capsys, "count", "ssyt", "--shape", "1", "--k", "1",
                        "--limit", "1000")
     assert code == 0 and out == "2\n"
-    # a negative limit is bad input, not a limit that refuses every run
-    code, out, err = run(capsys, "verify", "roundtrip", "--shape", "1", "--k", "1",
-                         "--limit", "-1")
-    assert code == 2 and out == ""
-    assert err == "error: --limit must be a non-negative integer, got -1\n"
+    # a negative limit is bad input, not a limit that refuses every run,
+    # for fk14 (which takes no size check) too
+    for argv in (["roundtrip", "--shape", "1", "--k", "1"], ["fk14", "--n", "3"]):
+        code, out, err = run(capsys, "verify", *argv, "--limit", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --limit must be a non-negative integer, got -1\n"
     # a zero limit admits only the empty shape
     code, out, _ = run(capsys, "count", "ssyt", "--shape", "", "--k", "1", "--limit", "0")
     assert code == 0 and out == "1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "ssyt", "--shape", "1"],
+    ["expected-jaggedness", "--shape", "1"],
+    ["verify", "theorem31", "--shape", "1"],
+    ["verify", "conjecture11", "--a", "1", "--b", "1", "--d", "2"],
+    ["verify", "fk36", "--shape", "2,1"],
+])
+def test_bad_bound_rejected_before_limit(capsys, argv):
+    code, out, err = run(capsys, *argv, "--k", "0", "--limit", "0")
+    assert (code, out, err) == (2, "", "error: bound k must be a positive integer, got 0\n")
 
 
 def test_expected_jaggedness_outputs(capsys):
@@ -185,19 +202,6 @@ def test_failing_identity_exits_one(capsys, monkeypatch):
     assert out.startswith("FAIL")
 
 
-def _subparsers(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-
-
-def test_command_parser_matches_subparser():
-    choices = _subparsers(cli.build_parser()).choices
-    assert set(choices) == {"count", "verify", "expected-jaggedness"}
-    for name, sub in choices.items():
-        lone = cli.command_parser(name)
-        assert lone.format_help() == sub.format_help()
-        assert lone.format_usage() == sub.format_usage()
-
-
 def _full_parser_result(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
@@ -228,9 +232,13 @@ def test_parse_errors_match_full_parser(capsys, argv, expected):
     assert code == 2 and out == "" and expected in err
 
 
+FULL_PARSER = ["bssyt", "bssyt count", "bssyt verify", "bssyt expected-jaggedness"]
+
+
 @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["frobnicate"]])
-def test_full_parser_lists_commands(capsys, argv):
+def test_full_parser_lists_commands(capsys, parsers_built, argv):
     code, out, err = _main_result(capsys, argv)
+    assert parsers_built == FULL_PARSER
     assert (code, out, err) == _full_parser_result(capsys, argv)
     assert "{count,verify,expected-jaggedness}" in out + err
     assert code == (0 if argv and argv[0].startswith("-") else 2)
@@ -250,10 +258,10 @@ def parsers_built(monkeypatch):
     return built
 
 
-def test_one_parser_per_command_call(capsys, parsers_built):
+def test_well_formed_call_builds_no_parser(capsys, parsers_built):
     code, _, _ = run(capsys, "verify", "theorem31", "--shape", "2,1", "--k", "1")
     assert code == 0
-    assert parsers_built == ["bssyt verify"]
+    assert parsers_built == []
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch, parsers_built):
@@ -261,7 +269,89 @@ def test_main_reads_sys_argv(capsys, monkeypatch, parsers_built):
                         ["bssyt", "verify", "theorem31", "--shape", "2,1", "--k", "1"])
     assert cli.main() == 0
     assert capsys.readouterr().out.startswith("PASS ")
-    assert parsers_built == ["bssyt verify"]
+    assert parsers_built == []
+
+
+@pytest.mark.parametrize("argv, spelled_out", [
+    (["verify", "theorem31", "--shape", "2,1", "--k=2"],
+     ["verify", "theorem31", "--shape", "2,1", "--k", "2"]),
+    (["verify", "theorem31", "--sha", "1", "--k", "1"],
+     ["verify", "theorem31", "--shape", "1", "--k", "1"]),
+])
+def test_fallback_accepts_as_full_parser(capsys, parsers_built, argv, spelled_out):
+    result = run(capsys, *argv)
+    assert parsers_built == FULL_PARSER
+    assert result == run(capsys, *spelled_out)
+    assert result[0] == 0 and result[1].startswith("PASS ")
+
+
+def _pinned_argv():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "pins.json")
+    with open(path) as fh:
+        pins = json.load(fh)
+    for slots in pins.values():
+        for slot in slots:
+            for check in slot:
+                yield check["argv"]
+
+
+def _reader_agrees(argv):
+    """The plain reader declines argv or gives argparse's own Namespace."""
+    read = cli._read_args(argv)
+    if read is None:
+        return True
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return read == cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+
+
+def test_reader_matches_argparse_on_pinned_argv():
+    argvs = list(_pinned_argv())
+    assert argvs
+    for argv in argvs:
+        for suffix in ([], ["--format", "json"], ["--format", "csv", "--limit", "100000"]):
+            assert cli._read_args(argv + suffix) is not None, argv + suffix
+            assert _reader_agrees(argv + suffix), argv + suffix
+
+
+_WELL_FORMED = [
+    ["count", "ssyt", "--shape", "2,1", "--k", "1"],
+    ["verify", "theorem31", "--shape", "2,1", "--k", "1"],
+    ["verify", "fk14", "--n", "3"],
+    ["expected-jaggedness", "--shape", "1", "--k", "2"],
+]
+_FLAGS = ["--shape", "--k", "--a", "--b", "--d", "--n", "--format", "--limit",
+          "--k=2", "--sha", "--", "-h"]
+_WORDS = [*cli._COMMANDS, *cli.CLAIMS, *cli._COUNTERS, "1", "2,1", "0", "json", "csv",
+          "text", "-1", "x", "", " 4", "+3", "--k"]
+
+
+@st.composite
+def _argv(draw):
+    """A well-formed argv with flag-value pairs and lone words put in
+    anywhere, the command's place included, and perhaps one token dropped."""
+    argv = list(draw(st.sampled_from(_WELL_FORMED)))
+    words = st.sampled_from(_FLAGS + _WORDS)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(st.one_of(
+            st.tuples(st.sampled_from(_FLAGS), words), st.tuples(words),
+        ))
+    if draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.one_of(_argv(), st.lists(st.sampled_from(_FLAGS + _WORDS), max_size=8)))
+@example(["verify", "theorem31", "--shape", "-x", "--k", "1"])
+@example(["verify", "theorem31", "--shape", "1", "--k", "-1"])
+@example(["count", "--shape", "1", "--k", "1"])
+def test_reader_matches_argparse_on_token_lists(argv):
+    assert _reader_agrees(argv)
 
 
 def test_python_m_entry_point():
