@@ -15,32 +15,38 @@ numbers of such fillings of mu and of lam/mu with entries in [0, j],
 
 zeta transforms down and up J(lam), the lattice of subshapes of lam.  Each
 transform runs one row at a time, one addition per subshape per row (see
-_lattice).  The pair walk over enumerate_rpp stays in the tests as the
-histogram's oracle.  Every ensemble claim here (the weak probabilities,
-the expected jaggedness, the corner double sums and the per-cell toggle
-symmetry) is a sum over the histogram's subshapes.  All probabilities and
+the lattice module).  The pair walk over enumerate_rpp stays in the tests as
+the histogram's oracle.  Every ensemble claim here is a sum over the
+histogram's subshapes.  The corner double sums, the per-cell toggle sums
+and the expected jaggedness add H(mu) over the cover rows of J(lam), the
+rows where mu has a corner or a proper outside corner, without building a
+shape per subshape.  verify_weak_expectation_by_subshape walks every
+subshape and measures its jaggedness from shapes instead, as the
+independent route to the same expectation.  All probabilities and
 expectations are exact rationals; nothing is sampled.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+from .lattice import subshape_lattice, zeta
 from .reports import VerificationReport, require_balanced
 from .shapes import (
-    Partition,
     all_subshapes,
-    corner_count,
-    corners,
     jaggedness as shape_jaggedness,
-    proper_outside_corner_count,
-    proper_outside_corners,
     rect_staircase,
     subshape_contained,
 )
 from .tableaux import count_bssyt, count_rpp, count_ssyt, require_bound
 
-# Not called here; the benchmark's tracer wraps these two names in this
-# module's namespace, and reports its metrics as absent if they are missing.
+# Not called here; the benchmark's tracer wraps these names in this module's
+# namespace, and reports its metrics as absent if they are missing.
+from .shapes import (  # noqa: F401
+    corner_count,
+    corners,
+    proper_outside_corner_count,
+    proper_outside_corners,
+)
 from .tableaux import enumerate_rpp, induced_subshape  # noqa: F401
 
 __all__ = [
@@ -57,50 +63,17 @@ __all__ = [
 ]
 
 
-def _lattice(lam):
-    """The subshapes of lam and the row steps of the two zeta transforms.
-
-    Subshapes are part tuples padded with zeros to lam's length, listed in
-    increasing lexicographic order.  A step is a list of (target, source)
-    index pairs; applying `values[target] += values[source]` over the steps
-    in order is a zeta transform, because every source is final when read.
-
-    Down, row i from the bottom up, ascending: the source lowers mu_i by one
-    and clamps the rows below to it.  After row i, values[mu] sums over the
-    nu <= mu that agree with mu above row i.  Up, row i from the top down,
-    descending: the source raises mu_i by one and lifts the rows above to
-    it, inside lam.  After row i, values[mu] sums over the nu >= mu inside
-    lam that agree with mu below row i.
-    """
-    parts = lam.parts
-    shapes = [()]
-    for width in parts:
-        shapes = [mu + (v,) for mu in shapes for v in range(min(mu[-1:] + (width,)) + 1)]
-    index = {mu: n for n, mu in enumerate(shapes)}
-    down, up = [], []
-    for i, width in enumerate(parts):
-        lowered, raised = [], []
-        for n, mu in enumerate(shapes):
-            m = mu[i]
-            if m:
-                below = tuple(x if x < m else m - 1 for x in mu[i + 1 :])
-                lowered.append((n, index[mu[:i] + (m - 1,) + below]))
-            if m < width:
-                above = tuple(x if x > m else m + 1 for x in mu[:i])
-                raised.append((n, index[above + (m + 1,) + mu[i + 1 :]]))
-        down.append(lowered)
-        raised.reverse()
-        up.append(raised)
-    down.reverse()
-    return shapes, down, up
-
-
-def _zeta(values, steps):
-    values = list(values)
-    for step in steps:
-        for target, source in step:
-            values[target] += values[source]
-    return values
+def _histogram(lam, k):
+    """J(lam), and H(mu) for every subshape as a list aligned with its shapes."""
+    require_bound(k)
+    lattice = subshape_lattice(lam)
+    A = [[1] * len(lattice.shapes)]
+    B = [A[0]]
+    for _ in range(k - 1):
+        A.append(zeta(A[-1], lattice.down))
+        B.append(zeta(B[-1], lattice.up))
+    H = [sum(A[i][n] * B[k - 1 - i][n] for i in range(k)) for n in range(len(A[0]))]
+    return lattice, H
 
 
 def weak_histogram(lam, k):
@@ -109,19 +82,20 @@ def weak_histogram(lam, k):
     Keys are the part tuples of the subshapes of lam, each with a positive
     count; the counts add up to the ensemble size k * |RPP(lam, k)|.
     """
-    require_bound(k)
-    shapes, down, up = _lattice(lam)
-    A = [[1] * len(shapes)]
-    B = [A[0]]
-    for _ in range(k - 1):
-        A.append(_zeta(A[-1], down))
-        B.append(_zeta(B[-1], up))
-    return Counter(
-        {
-            tuple(p for p in mu if p): sum(A[i][n] * B[k - 1 - i][n] for i in range(k))
-            for n, mu in enumerate(shapes)
-        }
-    )
+    lattice, H = _histogram(lam, k)
+    return Counter({tuple(p for p in mu if p): n for mu, n in zip(lattice.shapes, H)})
+
+
+def _corner_sums(lam, k):
+    """(pair count, corner sum, proper outside corner sum) over the ensemble.
+
+    Each sum adds H(mu) once per cover row of mu: once per corner of mu, or
+    once per proper outside corner of mu in lam.
+    """
+    lattice, H = _histogram(lam, k)
+    corner_sum = sum(H[n] for row in lattice.corners for n in row)
+    outside_sum = sum(H[n] for row in lattice.outside for n in row)
+    return sum(H), corner_sum, outside_sum
 
 
 def weak_probability(mu, lam, k):
@@ -134,11 +108,8 @@ def weak_probability(mu, lam, k):
 
 def expected_jaggedness_weak(lam, k):
     """Mean jaggedness of the induced subshape over all uniform pairs; exact."""
-    histogram = weak_histogram(lam, k)
-    total = sum(
-        n * shape_jaggedness(Partition(parts), lam) for parts, n in histogram.items()
-    )
-    return Fraction(total, sum(histogram.values()))
+    pairs, corner_sum, outside_sum = _corner_sums(lam, k)
+    return Fraction(corner_sum + outside_sum, pairs)
 
 
 def check_toggle_symmetric(lam, k):
@@ -146,19 +117,22 @@ def check_toggle_symmetric(lam, k):
 
     A cell toggles into an induced subshape exactly when it is one of its
     proper outside corners, and out exactly when it is one of its corners,
-    so each subshape contributes its pair count through those two cell
-    lists.  Returns one report per cell in row-major order.
+    so each subshape contributes its pair count through its cover rows: a
+    corner in row i is the cell (i, mu_i), an outside corner (i, mu_i + 1).
+    Returns one report per cell in row-major order.
     """
-    ins, outs = {}, {}
-    for parts, n in weak_histogram(lam, k).items():
-        mu = Partition(parts)
-        for cell in corners(mu):
-            outs[cell] = outs.get(cell, 0) + n
-        for cell in proper_outside_corners(mu, lam):
-            ins[cell] = ins.get(cell, 0) + n
+    lattice, H = _histogram(lam, k)
+    shapes = lattice.shapes
+    ins = [[0] * (width + 1) for width in lam.parts]
+    outs = [[0] * (width + 1) for width in lam.parts]
+    for i, (removable, addable) in enumerate(zip(lattice.corners, lattice.outside)):
+        for n in removable:
+            outs[i][shapes[n][i]] += H[n]
+        for n in addable:
+            ins[i][shapes[n][i] + 1] += H[n]
     reports = []
     for cell in lam.cells():
-        into, out_of = ins.get(cell, 0), outs.get(cell, 0)
+        into, out_of = ins[cell.row - 1][cell.col], outs[cell.row - 1][cell.col]
         reports.append(
             VerificationReport(
                 claim="toggle_symmetry_at_cell",
@@ -222,7 +196,12 @@ def verify_weak_expectation_by_subshape(lam, k):
 
 
 def verify_ensemble_size(lam, k):
-    """Pair-ensemble size against k times the flagged tableau count; any shape."""
+    """Pair-ensemble size against k times the flagged tableau count; any shape.
+
+    The two sides are two routes: the reverse plane partitions are counted
+    by zeta transforms over the lattice of subshapes, the flagged tableaux
+    by the column-profile dynamic program.
+    """
     lhs = k * count_rpp(lam, k)
     rhs = k * count_ssyt(lam, k)
     return VerificationReport(
@@ -283,19 +262,14 @@ def verify_conjecture_rect(a, b, d, k):
 def verify_double_sums(lam, k):
     """Corner and proper-outside-corner ensemble sums against the barely
     set-valued count; holds for every shape, balanced or not."""
-    histogram = weak_histogram(lam, k)
-    corner_sum = outside_sum = 0
-    for parts, n in histogram.items():
-        mu = Partition(parts)
-        corner_sum += n * corner_count(mu)
-        outside_sum += n * proper_outside_corner_count(mu, lam)
+    pairs, corner_sum, outside_sum = _corner_sums(lam, k)
     bssyt = count_bssyt(lam, k)
     return VerificationReport(
         claim="corner_sums_match_bssyt",
         params={
             "shape": lam,
             "k": k,
-            "pair_count": sum(histogram.values()),
+            "pair_count": pairs,
             "both_sums_total": corner_sum + outside_sum,
         },
         lhs=[corner_sum, outside_sum],

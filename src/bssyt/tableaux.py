@@ -14,11 +14,13 @@ the doubled cell first).  They stay deliberately direct, plain backtracking
 with feasibility pruning against the left and upper neighbors only, because
 they are the oracles of the counters.  count_ssyt and count_bssyt do not
 enumerate: one column-profile dynamic program yields both.  count_rpp does
-enumerate, so that the row shift's count identity compares two routes.
+not enumerate either: it runs k down zeta transforms over the lattice of
+subshapes, so the row shift's count identity still compares two routes.
 """
 
 from bisect import bisect_left
 
+from .lattice import subshape_lattice, zeta
 from .shapes import Partition
 
 __all__ = [
@@ -401,8 +403,18 @@ def enumerate_rpp(shape, k):
 
 
 def count_rpp(shape, k):
+    """|RPP(shape, k)|, as A_k(shape) over J(shape); enumerate_rpp is its oracle.
+
+    A_0 = 1 on every subshape, and A_j(mu), the number of fillings of mu with
+    entries in [0, j], is the sum of A_{j-1}(nu) over the subshapes nu <= mu
+    (nu holds the entries below j): k down zeta transforms, read at shape.
+    """
     require_bound(k)
-    return sum(1 for _ in _rpp_grids(shape, k))
+    lattice = subshape_lattice(shape)
+    values = [1] * len(lattice.shapes)
+    for _ in range(k):
+        values = zeta(values, lattice.down)
+    return values[-1]
 
 
 def rpp_to_ssyt(P):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import bssyt.jaggedness
 from bssyt.jaggedness import (
     check_toggle_symmetric,
     expected_jaggedness_weak,
@@ -15,8 +16,16 @@ from bssyt.jaggedness import (
     weak_histogram,
     weak_probability,
 )
+from bssyt.lattice import subshape_lattice
 from bssyt.reports import VerificationReport
-from bssyt.shapes import NotBalancedError, Partition, all_subshapes
+from bssyt.shapes import (
+    NotBalancedError,
+    Partition,
+    all_subshapes,
+    corners,
+    jaggedness as shape_jaggedness,
+    proper_outside_corners,
+)
 from bssyt.tableaux import (
     count_bssyt,
     count_rpp,
@@ -81,12 +90,25 @@ def test_weak_probabilities_normalize():
 
 
 def test_expected_jaggedness_examples():
-    assert expected_jaggedness_weak(P((1,)), 1) == 1
-    assert expected_jaggedness_weak(P((2, 2, 1, 1)), 2) == Fraction(8, 3)
-    value = expected_jaggedness_weak(P((3, 1)), 1)
-    assert value == Fraction(16, 7)
-    assert value != Fraction(2 * 2 * 3, 2 + 3)
-    assert expected_jaggedness_weak(P(()), 2) == 0
+    # each value by the cover rows and by the jaggedness of every subshape
+    examples = (
+        ((1,), 1, 1),
+        ((2, 2, 1, 1), 2, Fraction(8, 3)),
+        ((3, 1), 1, Fraction(16, 7)),
+        ((3, 1), 2, Fraction(57, 25)),
+        ((3, 1), 3, Fraction(148, 65)),
+        ((3, 1), 4, Fraction(91, 40)),
+        ((5, 3, 1), 1, Fraction(18, 5)),
+        ((5, 3, 1), 2, Fraction(1167, 325)),
+        ((), 2, 0),
+    )
+    for parts, k, value in examples:
+        lam = P(parts)
+        histogram = weak_histogram(lam, k)
+        walked = sum(n * shape_jaggedness(P(mu), lam) for mu, n in histogram.items())
+        assert expected_jaggedness_weak(lam, k) == value, (parts, k)
+        assert Fraction(walked, sum(histogram.values())) == value, (parts, k)
+    assert expected_jaggedness_weak(P((3, 1)), 1) != Fraction(2 * 2 * 3, 2 + 3)
 
 
 def test_unconditional_bridge_identity():
@@ -113,6 +135,76 @@ def test_toggle_symmetry_full_grid():
     for lam in all_subshapes(P((4, 4, 4, 4))):
         for k in (1, 2, 3):
             assert all(r.equal for r in check_toggle_symmetric(lam, k))
+
+
+def _cover_cells(lattice):
+    """Per subshape index: its corner cells and its proper outside corner cells."""
+    corner_cells = {n: [] for n in range(len(lattice.shapes))}
+    outside_cells = {n: [] for n in range(len(lattice.shapes))}
+    for i, row in enumerate(lattice.corners):
+        for n in row:
+            corner_cells[n].append((i + 1, lattice.shapes[n][i]))
+    for i, row in enumerate(lattice.outside):
+        for n in row:
+            outside_cells[n].append((i + 1, lattice.shapes[n][i] + 1))
+    return corner_cells, outside_cells
+
+
+_BOX_SUBSHAPES = [lam for box in (P((4, 4, 4)), P((3, 3, 3, 3))) for lam in all_subshapes(box)]
+
+
+def test_cover_rows_against_shapes():
+    for lam in _BOX_SUBSHAPES + [P((6, 6, 3, 3)), P((5, 3, 1))]:
+        lattice = subshape_lattice(lam)
+        assert [P(mu) for mu in lattice.shapes] == list(all_subshapes(lam))
+        corner_cells, outside_cells = _cover_cells(lattice)
+        for n, parts in enumerate(lattice.shapes):
+            mu = P(parts)
+            assert corner_cells[n] == [tuple(c) for c in corners(mu)], (lam, mu)
+            assert outside_cells[n] == [
+                tuple(c) for c in proper_outside_corners(mu, lam)
+            ], (lam, mu)
+
+
+def _subshape_walk(lam, k):
+    """The corner sums and per-cell toggle sums by building every subshape."""
+    corner_sum = outside_sum = 0
+    ins, outs = {}, {}
+    for parts, n in weak_histogram(lam, k).items():
+        mu = P(parts)
+        for cell in corners(mu):
+            corner_sum += n
+            outs[cell] = outs.get(cell, 0) + n
+        for cell in proper_outside_corners(mu, lam):
+            outside_sum += n
+            ins[cell] = ins.get(cell, 0) + n
+    return corner_sum, outside_sum, ins, outs
+
+
+def test_cover_sums_against_subshape_walk():
+    for lam in _BOX_SUBSHAPES:
+        for k in (1, 2, 3):
+            corner_sum, outside_sum, ins, outs = _subshape_walk(lam, k)
+            assert verify_double_sums(lam, k).lhs == [corner_sum, outside_sum], (lam, k)
+            for report in check_toggle_symmetric(lam, k):
+                cell = report.params["cell"]
+                assert (report.lhs, report.rhs) == (ins.get(cell, 0), outs.get(cell, 0))
+
+
+@pytest.mark.parametrize("covers", ["corners", "outside"])
+def test_double_sums_see_a_dropped_cover(monkeypatch, covers):
+    # a lattice that loses one cover row of one subshape undercounts one sum
+    def dropped(lam):
+        lattice = subshape_lattice(lam)
+        rows = getattr(lattice, covers)
+        rows[-1] = rows[-1][1:]
+        return lattice
+
+    monkeypatch.setattr(bssyt.jaggedness, "subshape_lattice", dropped)
+    for parts, k in (((1,), 1), ((2, 1), 2), ((3, 1), 2), ((4, 4, 2, 1), 2)):
+        report = verify_double_sums(P(parts), k)
+        assert not report.equal, (parts, k)
+        assert report.lhs[covers == "outside"] < report.rhs[0]
 
 
 def test_balanced_expectation():

@@ -64,12 +64,14 @@ def test_enumerate_ssyt_counts():
 
 
 def test_profile_counts_against_enumerators():
-    # every subshape of the 3x4 and 4x3 boxes, the empty shape included, at k <= 3
+    # every subshape of the 3x4 and 4x3 boxes, the empty shape included, at k <= 3;
+    # count_rpp is the lattice count, the other two the column-profile counts
     for box in (P((4, 4, 4)), P((3, 3, 3, 3))):
         for lam in all_subshapes(box):
             for k in (1, 2, 3):
                 assert count_ssyt(lam, k) == sum(1 for _ in enumerate_ssyt(lam, k))
                 assert count_bssyt(lam, k) == sum(1 for _ in enumerate_bssyt(lam, k))
+                assert count_rpp(lam, k) == len(list(enumerate_rpp(lam, k)))
 
 
 def test_enumerate_ssyt_contents():
@@ -135,6 +137,8 @@ def test_bad_bound_rejected():
         count_ssyt(P((1,)), True)
     with pytest.raises(ValueError):
         count_bssyt(P((1,)), 0)
+    with pytest.raises(ValueError):
+        count_rpp(P((1,)), 0)
 
 
 def test_row_shift_example():
