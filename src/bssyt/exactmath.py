@@ -5,8 +5,9 @@ type throughout the package.  Rationals are fractions.Fraction, which keeps
 gcd(numerator, denominator) == 1 and the denominator positive after every
 operation.  What this module adds is a small dense polynomial type over the
 integers (the identity checks multiply long chains of linear factors, so a
-dense coefficient list is the right shape) and a binomial helper with the
-domain conventions the verification code relies on.
+dense coefficient list is the right shape), a binomial helper with the
+domain conventions the verification code relies on, and an exact integer
+determinant for the Jacobi-Trudi counts.
 """
 
 import math
@@ -15,7 +16,7 @@ from fractions import Fraction
 # Exact rational type; always reduced, denominator > 0.
 Rational = Fraction
 
-__all__ = ["IntPolynomial", "Rational", "binomial"]
+__all__ = ["IntPolynomial", "Rational", "binomial", "determinant"]
 
 
 class IntPolynomial:
@@ -144,3 +145,39 @@ def binomial(n, r):
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
+
+
+def determinant(matrix):
+    """Exact determinant of a square integer matrix, by Bareiss elimination.
+
+    Step p replaces each entry below and right of the pivot by the 2x2 minor
+    through the pivot, divided by the previous pivot; every such division is
+    exact (Sylvester's identity), and a remainder raises ArithmeticError.  A
+    zero pivot is swapped with a lower row holding a nonzero entry in its
+    column; if there is none, the determinant is 0.  The empty matrix has
+    determinant 1.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    sign, previous = 1, 1
+    for p in range(n - 1):
+        if not rows[p][p]:
+            swap = next((r for r in range(p + 1, n) if rows[r][p]), None)
+            if swap is None:
+                return 0
+            rows[p], rows[swap] = rows[swap], rows[p]
+            sign = -sign
+        top = rows[p]
+        pivot = top[p]
+        for r in range(p + 1, n):
+            row = rows[r]
+            lead = row[p]
+            for c in range(p + 1, n):
+                quotient, remainder = divmod(row[c] * pivot - lead * top[c], previous)
+                if remainder:
+                    raise ArithmeticError("inexact Bareiss division")
+                row[c] = quotient
+        previous = pivot
+    return sign * rows[-1][-1] if n else 1

@@ -165,7 +165,7 @@ def verify_weak_expectation_by_subshape(lam, k):
 
     Walks the subshapes of lam independently of the histogram's lattice,
     weights each by its histogram count, checks those counts add up to the
-    ensemble size k * |SSYT(lam, k)| from the column-profile count (a
+    ensemble size k * |SSYT(lam, k)| from the Jacobi-Trudi determinant (a
     different route to the same number), and compares the weighted
     jaggedness sum with the closed form.
     """
@@ -200,7 +200,7 @@ def verify_ensemble_size(lam, k):
 
     The two sides are two routes: the reverse plane partitions are counted
     by zeta transforms over the lattice of subshapes, the flagged tableaux
-    by the column-profile dynamic program.
+    by the flagged Jacobi-Trudi determinant.
     """
     lhs = k * count_rpp(lam, k)
     rhs = k * count_ssyt(lam, k)

@@ -13,13 +13,17 @@ entry stream (the barely set-valued family is grouped by the position of
 the doubled cell first).  They stay deliberately direct, plain backtracking
 with feasibility pruning against the left and upper neighbors only, because
 they are the oracles of the counters.  count_ssyt and count_bssyt do not
-enumerate: one column-profile dynamic program yields both.  count_rpp does
-not enumerate either: it runs k down zeta transforms over the lattice of
-subshapes, so the row shift's count identity still compares two routes.
+enumerate: each is built from exact determinants of the flagged
+Jacobi-Trudi matrix A of one-row counts and its beta-term matrix D, one
+row and one column per row of the shape (see _ssyt_matrix).  count_rpp
+does not enumerate either: it runs k down zeta transforms over the lattice
+of subshapes, so the row shift's count identity still compares two routes.
 """
 
 from bisect import bisect_left
+from math import comb
 
+from .exactmath import determinant
 from .lattice import subshape_lattice, zeta
 from .shapes import Partition
 
@@ -329,52 +333,60 @@ def enumerate_ssyt(shape, k):
         yield svt_unchecked(shape, rows, k)
 
 
-def _accumulate(states, profile, single, doubled):
-    old_single, old_doubled = states.get(profile, (0, 0))
-    states[profile] = (old_single + single, old_doubled + doubled)
+def _one_row_ssyt(m, f):
+    """h(m, f): one-row SSYT of length m with entries in [1, f]; 0 for m < 0."""
+    return comb(m + f - 1, m) if m >= 0 else 0
 
 
-def _flagged_counts(shape, k):
-    """(|SSYT(shape, k)|, |BSSYT(shape, k)|) by one column-profile pass.
+def _one_row_bssyt(m, f):
+    """g(m, f): one-row barely set-valued fillings of length m, entries in [1, f].
 
-    Cells are taken in row-major order; a state is the tuple of the largest
-    entry placed so far in each column still to be reached, carrying the
-    number of fillings with no doubled cell and with one.  A cell in row t
-    (1-based) whose left and upper neighbours force its entries up to at
-    least lo can take the maximum b for any b in [lo, k + t]: as the
-    singleton {b}, or as one of the b - lo pairs {a, b} with lo <= a < b.
-    Each row starts by dropping the columns it does not reach, so equal
-    futures share one state; the first row starts from zeros.
+    Doubling cell p gives a weakly increasing word of m + 1 letters that
+    strictly increases at p; lowering every letter after p by one leaves
+    any weakly increasing word in [1, f - 1], so g(m, f) = m * C(m + f - 1,
+    m + 1).  Below the range the beta-term convention gives g(-1, f) = -1
+    and g(m, f) = 0 for m <= -2.
     """
-    require_bound(k)
-    states = {(): (1, 0)}
-    for t, width in enumerate(shape.parts, start=1):
-        truncated = {}
-        for profile, (single, doubled) in states.items():
-            profile = profile[:width] + (0,) * (width - len(profile))
-            _accumulate(truncated, profile, single, doubled)
-        states = truncated
-        for j in range(width):
-            advanced = {}
-            for profile, (single, doubled) in states.items():
-                lo = profile[j] + 1
-                if j and profile[j - 1] > lo:
-                    lo = profile[j - 1]
-                head, tail = profile[:j], profile[j + 1 :]
-                for b in range(lo, k + t + 1):
-                    _accumulate(
-                        advanced, head + (b,) + tail, single, doubled + single * (b - lo)
-                    )
-            states = advanced
-    return (
-        sum(single for single, _ in states.values()),
-        sum(doubled for _, doubled in states.values()),
-    )
+    if m >= 0:
+        return m * comb(m + f - 1, m + 1)
+    return -1 if m == -1 else 0
+
+
+def _ssyt_matrix(shape, k):
+    """The flagged Jacobi-Trudi matrix: A_ij = h(m, f_i).
+
+    With 1-based i, j, the flag f_i = k + i and m = shape_i - i + j.
+    """
+    n = shape.rows
+    return [
+        [_one_row_ssyt(part - i + j, k + i) for j in range(1, n + 1)]
+        for i, part in enumerate(shape.parts, start=1)
+    ]
+
+
+def _beta_matrix(shape, k):
+    """The beta-term matrix: D_ij = (i - j) * h(m + 1, f_i) + g(m, f_i).
+
+    f_i and m as in _ssyt_matrix.
+    """
+    n = shape.rows
+    return [
+        [
+            (i - j) * _one_row_ssyt(part - i + j + 1, k + i)
+            + _one_row_bssyt(part - i + j, k + i)
+            for j in range(1, n + 1)
+        ]
+        for i, part in enumerate(shape.parts, start=1)
+    ]
 
 
 def count_ssyt(shape, k):
-    """|SSYT(shape, k)|; enumerate_ssyt is its oracle."""
-    return _flagged_counts(shape, k)[0]
+    """|SSYT(shape, k)| = det A, the flagged Jacobi-Trudi determinant.
+
+    enumerate_ssyt is its oracle.
+    """
+    require_bound(k)
+    return determinant(_ssyt_matrix(shape, k))
 
 
 def enumerate_bssyt(shape, k):
@@ -391,8 +403,14 @@ def enumerate_bssyt(shape, k):
 
 
 def count_bssyt(shape, k):
-    """|BSSYT(shape, k)|; enumerate_bssyt is its oracle."""
-    return _flagged_counts(shape, k)[1]
+    """|BSSYT(shape, k)|, the beta^1 coefficient of det(A + beta * D).
+
+    That coefficient is the sum over i of det A with row i replaced by row i
+    of D; the empty shape has none and gives 0.  enumerate_bssyt is its oracle.
+    """
+    require_bound(k)
+    A, D = _ssyt_matrix(shape, k), _beta_matrix(shape, k)
+    return sum(determinant(A[:i] + [D[i]] + A[i + 1 :]) for i in range(len(A)))
 
 
 def enumerate_rpp(shape, k):

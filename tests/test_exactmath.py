@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from bssyt.exactmath import IntPolynomial, Rational, binomial
+from bssyt.exactmath import IntPolynomial, Rational, binomial, determinant
 
 X_PLUS_1 = IntPolynomial((1, 1))
 X_PLUS_2 = IntPolynomial((2, 1))
@@ -121,3 +121,46 @@ def test_rational_always_reduced():
             assert value.denominator > 0
             assert gcd(value.numerator, value.denominator) == 1
     assert Rational is Fraction
+
+
+def _leibniz(matrix):
+    """The permutation expansion: the definition, for small matrices only."""
+    from itertools import permutations
+
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+def test_determinant_examples():
+    assert determinant([]) == 1
+    assert determinant([[7]]) == 7
+    assert determinant([[2, 3], [1, 4]]) == 5
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    with pytest.raises(ValueError):
+        determinant([[1, 2], [3]])
+
+
+def test_determinant_swaps_rows_on_zero_pivot():
+    # a zero pivot before the last step; without the swap the next step divides by 0
+    assert determinant([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert determinant([[1, 2, 3], [2, 4, 7], [1, 3, 5]]) == -1
+    assert determinant([[0, 0, 2], [0, 3, 1], [0, 5, 4]]) == 0
+    assert determinant([[0, 2], [3, 1]]) == -6
+
+
+def test_determinant_against_leibniz_random():
+    rng = random.Random(170)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        matrix = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        before = [row[:] for row in matrix]
+        assert determinant(matrix) == _leibniz(matrix)
+        assert matrix == before  # the input is not eliminated in place

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssyt.shapes import Partition, all_subshapes, subshape_contained
 from bssyt.tableaux import (
@@ -65,13 +69,110 @@ def test_enumerate_ssyt_counts():
 
 def test_profile_counts_against_enumerators():
     # every subshape of the 3x4 and 4x3 boxes, the empty shape included, at k <= 3;
-    # count_rpp is the lattice count, the other two the column-profile counts
+    # count_rpp is the lattice count, the other two the Jacobi-Trudi determinants
     for box in (P((4, 4, 4)), P((3, 3, 3, 3))):
         for lam in all_subshapes(box):
             for k in (1, 2, 3):
                 assert count_ssyt(lam, k) == sum(1 for _ in enumerate_ssyt(lam, k))
                 assert count_bssyt(lam, k) == sum(1 for _ in enumerate_bssyt(lam, k))
                 assert count_rpp(lam, k) == len(list(enumerate_rpp(lam, k)))
+
+
+def _accumulate(states, profile, single, doubled):
+    old_single, old_doubled = states.get(profile, (0, 0))
+    states[profile] = (old_single + single, old_doubled + doubled)
+
+
+def _profile_counts(shape, k):
+    """(|SSYT(shape, k)|, |BSSYT(shape, k)|) by one column-profile pass.
+
+    The counts' second oracle, independent of the determinants.  Cells are
+    taken in row-major order; a state is the tuple of the largest entry
+    placed so far in each column still to be reached, carrying the number
+    of fillings with no doubled cell and with one.  A cell in row t
+    (1-based) whose left and upper neighbours force its entries up to at
+    least lo can take the maximum b for any b in [lo, k + t]: as the
+    singleton {b}, or as one of the b - lo pairs {a, b} with lo <= a < b.
+    Each row starts by dropping the columns it does not reach, so equal
+    futures share one state; the first row starts from zeros.  Its state
+    count grows exponentially with the shape.
+    """
+    states = {(): (1, 0)}
+    for t, width in enumerate(shape.parts, start=1):
+        truncated = {}
+        for profile, (single, doubled) in states.items():
+            profile = profile[:width] + (0,) * (width - len(profile))
+            _accumulate(truncated, profile, single, doubled)
+        states = truncated
+        for j in range(width):
+            advanced = {}
+            for profile, (single, doubled) in states.items():
+                lo = profile[j] + 1
+                if j and profile[j - 1] > lo:
+                    lo = profile[j - 1]
+                head, tail = profile[:j], profile[j + 1 :]
+                for b in range(lo, k + t + 1):
+                    _accumulate(
+                        advanced, head + (b,) + tail, single, doubled + single * (b - lo)
+                    )
+            states = advanced
+    return (
+        sum(single for single, _ in states.values()),
+        sum(doubled for _, doubled in states.values()),
+    )
+
+
+def test_determinant_counts_against_profile_dp():
+    # every subshape of the 5x5, 6x5 and 5x6 boxes at k <= 3, and of 4x4 at k <= 5
+    cases = [(P((5,) * 5), 3), (P((5,) * 6), 3), (P((6,) * 5), 3), (P((4,) * 4), 5)]
+    for box, top in cases:
+        for lam in all_subshapes(box):
+            for k in range(1, top + 1):
+                assert (count_ssyt(lam, k), count_bssyt(lam, k)) == _profile_counts(lam, k)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(1, 6), max_size=6), st.integers(1, 4))
+def test_determinant_counts_match_profile_dp(parts, k):
+    lam = P(sorted(parts, reverse=True))
+    assert (count_ssyt(lam, k), count_bssyt(lam, k)) == _profile_counts(lam, k)
+
+
+def _macmahon(rows, cols, k):
+    """Plane partitions in a rows x cols x k box: the RPPs of the rectangle."""
+    value = Fraction(1)
+    for i in range(1, rows + 1):
+        for j in range(1, cols + 1):
+            for l in range(1, k + 1):
+                value *= Fraction(i + j + l - 1, i + j + l - 2)
+    return value
+
+
+def _proctor(n, k):
+    """RPPs of the staircase (n, n - 1, ..., 1) with entries at most k."""
+    value = Fraction(1)
+    for i in range(1, n + 2):
+        for j in range(i + 1, n + 2):
+            value *= Fraction(2 * k + i + j - 1, i + j - 1)
+    return value
+
+
+def test_counts_against_product_formulas():
+    # closed forms at sizes no enumerator or profile pass reaches, and the
+    # barely set-valued count's (r + c) * B = k * r * c * S on the same shapes
+    shapes = [
+        (P((cols,) * rows), lambda k, r=rows, c=cols: _macmahon(r, c, k))
+        for rows in range(1, 13)
+        for cols in range(1, 13)
+    ] + [
+        (P(range(n, 0, -1)), lambda k, n=n: _proctor(n, k)) for n in range(1, 13)
+    ]
+    for lam, product in shapes:
+        r, c = lam.rows, lam.cols
+        for k in range(1, 6):
+            ssyt = count_ssyt(lam, k)
+            assert ssyt == product(k)
+            assert (r + c) * count_bssyt(lam, k) == k * r * c * ssyt
 
 
 def test_enumerate_ssyt_contents():
