@@ -22,16 +22,18 @@ it, and the outside-corner test only the doubled row and the row above it.
 The maps, the triple checks and verify_roundtrip share one definition of
 each row step (shift, join, the split and join of the doubled row under
 either map, and the two tests).  So verify_roundtrip counts the round trips
-by rows instead of walking the tableaux: a transfer over adjacent rows
-applies each step once per pair of rows that fit, and its total is compared
-with count_bssyt.  The walk over enumerate_bssyt is its oracle in the tests.
+by rows instead of walking the tableaux: the rows are one lattice of
+subshapes, the fillings above and below every row are zeta transforms on
+it, each step runs once per doubled row and each test once per class of
+neighbour rows, and the total is compared with count_bssyt.  The walk over
+enumerate_bssyt is its oracle in the tests.
 """
 
-from itertools import combinations_with_replacement
-from operator import lt
+from itertools import compress
 
+from .lattice import subshape_lattice, zeta
 from .reports import Record, VerificationReport
-from .shapes import Cell
+from .shapes import Cell, Partition
 from .tableaux import count_bssyt, require_bound, rpp_unchecked, svt_unchecked
 
 # Not called here; the benchmark's tracer wraps this name in this module's
@@ -242,103 +244,96 @@ def outside_to_bssyt(triple):
     return _joined(triple, _outside_join)
 
 
-def _row_counts(info, adjacent):
-    """Fillings of a run of rows, level by level, keyed by the row last added.
-
-    info[m][row] is (row shifted, whether it survives shift then join), and
-    adjacent[m][row] lists the rows of level m - 1 that fit next to row.  A
-    count is (fillings, fillings whose every row survives); the run starts
-    from level 0, the empty row, counted once.
-    """
-    counts = [{(): (1, 1)}]
-    for m in range(1, len(info)):
-        previous, level = counts[-1], {}
-        for row, neighbours in adjacent[m].items():
-            total = ok = 0
-            for other in neighbours:
-                n, n_ok = previous[other]
-                total += n
-                ok += n_ok
-            level[row] = (total, ok if info[m][row][1] else 0)
-        counts.append(level)
-    return counts
-
-
 def verify_roundtrip(lam, k):
     """Both representations must invert on every barely set-valued tableau.
 
-    Counted by rows, without walking the tableaux.  Level t holds the
-    weakly increasing rows of singleton entries in [1, k + t], and levels 0
-    and n + 1 the empty row; peak_states is the most rows on one level.
-    above[t] counts the fillings of rows 1..t by their row t, below[t]
-    those of rows t..n by their row t.  A row D of row r with a pair
-    {a < b} at column c fits below a row exactly when D with b removed
-    does, and above a row exactly when D with a removed does, so its
-    neighbours are read off the singleton rows' tables.  D's corner round
-    trip needs its corner split to join back to D and the corner test
-    against each row below; its outside round trip the same with the
-    outside split and the test against each row above.  Every other row
-    must survive shift then join.  The total must equal count_bssyt, an
-    independent count.
+    Counted on one lattice, without walking the tableaux.  k minus a
+    shifted row padded with k to width lam_1 is a subshape of the box
+    k^(lam_1), and a row fits above another exactly when its subshape holds
+    the other's.  So the fillings above every row are one up zeta transform
+    over J(k^(lam_1)), and those below one down transform, each run on all
+    fillings and on those whose every row survives shift then join;
+    peak_states is |J(k^(lam_1))|.  A row D with a pair {a < b} in column c
+    fits below the rows that fit above D less b, its corner split's row,
+    and above those below D less a, its outside split's row.  The corner
+    test reads the row below only in column c, so it runs once per class of
+    rows below with one entry there, on the class's own row, and the class
+    is counted by a difference of zeta values along D less a's down steps
+    in that column; the outside test likewise on the rows above, along D
+    less b's up steps.  Each round trip also needs D's split to join back
+    to D.  The total must equal count_bssyt, an independent count.
     """
     require_bound(k)
     parts = lam.parts
-    empty = {(): ((), True)}
-    info = [empty]  # info[t][row]: (row shifted, whether it survives shift then join)
+    box = subshape_lattice(Partition((k,) * max(parts, default=0)))
+    size = len(box.shapes)
+    # rows[t][n]: the shifted row of row t that subshape n stands for; rows
+    # 0 and len(parts) + 1 are empty, so they fit next to every row
+    rows = [[tuple([k - x for x in mu[:width]]) for mu in box.shapes] for width in (0, *parts, 0)]
+    fits, survives = {}, {}  # per subshape: is it a row of row t, and one that survives
     for t, width in enumerate(parts, start=1):
-        level = {}
-        for row in combinations_with_replacement(range(1, k + t + 1), width):
-            cells = tuple([(v,) for v in row])
-            shifted = _shift_row(cells, t)
-            level[row] = (shifted, _join_row(shifted, t) == cells)
-        info.append(level)
-    info.append(empty)
-    up = [None]  # up[t][row]: the rows of level t - 1 that fit above row
-    down = []  # down[t][row]: the rows of level t + 1 that fit below row
-    for t in range(1, len(info)):
-        up_t = {row: [] for row in info[t]}
-        down_t = {row: [] for row in info[t - 1]}
-        for upper in info[t - 1]:
-            for lower in info[t]:
-                if all(map(lt, upper, lower)):
-                    up_t[lower].append(upper)
-                    down_t[upper].append(lower)
-        up.append(up_t)
-        down.append(down_t)
-    above = _row_counts(info, up)
-    below = _row_counts(info[::-1], [None] + down[::-1])[::-1]
+        fits[t] = [not any(mu[width:]) for mu in box.shapes]
+        cells = [tuple([(v + t,) for v in row]) for row in rows[t]]
+        survives[t] = [f and _join_row(_shift_row(T, t), t) == T for f, T in zip(fits[t], cells)]
+
+    def transfer(levels, steps):
+        # reach[t]: per subshape, the fillings of the rows beyond row t whose
+        # nearest row fits next to it, and those whose every row survives
+        total = ok = [1] * size
+        reach = {}
+        for t in levels:
+            reach[t] = total, ok
+            total = zeta([n if f else 0 for n, f in zip(total, fits[t])], steps)
+            ok = zeta([n if f else 0 for n, f in zip(ok, survives[t])], steps)
+        return reach
+
+    above = transfer(range(1, len(parts) + 1), box.up)
+    below = transfer(range(len(parts), 0, -1), box.down)
+    lifts = [dict(step) for step in box.up]  # lifts[c][n]: n's up step in row c
+    clamps = [dict(step) for step in reversed(box.down)]  # clamps[c][n]: its down step
+
+    def chain(n, steps):
+        # n and its steps in one row, to the end: each subshape's principal
+        # set holds the next one's, and the difference is the subshapes
+        # whose entry in that row is the first one's
+        out = [n]
+        while out[-1] in steps:
+            out.append(steps[out[-1]])
+        return out
+
+    def classes(values, path, t):
+        # the rows of row t split by their entry in the column of a chain's
+        # path: each class's own row, and its count from the zeta values
+        counts = [values[n] for n in path] + [0]
+        return [(rows[t][n], a - b) for n, a, b in zip(path, counts, counts[1:]) if a != b]
 
     total = corner_ok = outside_ok = 0
     for r, width in enumerate(parts, start=1):
-        for values in combinations_with_replacement(range(1, k + r + 1), width + 1):
-            for c in range(width):
-                a, b = values[c : c + 2]
-                if a == b:
+        up_all, up_ok = above[r]
+        down_all, down_ok = below[r]
+        for n in compress(range(size), fits[r]):
+            row = rows[r][n]  # D less b, for every b up to the next entry, or k
+            for c, a in enumerate(row):
+                gaps = (row[c + 1] if c + 1 < width else k) - a
+                if not gaps:
                     continue
-                cells = [(v,) for v in values]
-                cells[c : c + 2] = [(a, b)]
-                row = tuple(cells)
-                kept, corner_level = _corner_split(row, r, c)
-                held, outside_level = _outside_split(row, r, c)
-                n_up = ok_up = outside_up = 0
-                for upper in up[r][values[: c + 1] + values[c + 2 :]]:
-                    count, count_ok = above[r - 1][upper]
-                    n_up += count
-                    ok_up += count_ok
-                    if _is_outside_corner(held, info[r - 1][upper][0], c, outside_level, k):
-                        outside_up += count_ok
-                n_down = ok_down = corner_down = 0
-                for lower in down[r][values[:c] + values[c + 1 :]]:
-                    count, count_ok = below[r + 1][lower]
-                    n_down += count
-                    ok_down += count_ok
-                    if _is_corner(kept, info[r + 1][lower][0], c, corner_level, k):
-                        corner_down += count_ok
-                total += n_up * n_down
-                if _corner_join(kept, r, c, corner_level) == row:
-                    corner_ok += ok_up * corner_down
-                if _outside_join(held, r, c, outside_level) == row:
-                    outside_ok += outside_up * ok_down
+                downs = chain(n, clamps[c])
+                uppers = classes(up_ok, chain(n, lifts[c]), r - 1)
+                for gap in range(1, gaps + 1):
+                    held_n = downs[gap]  # D less a
+                    cells = [(v + r,) for v in row]
+                    cells[c] = (a + r, a + gap + r)
+                    doubled = tuple(cells)
+                    kept, i = _corner_split(doubled, r, c)
+                    held, j = _outside_split(doubled, r, c)
+                    total += up_all[n] * down_all[held_n]
+                    if _corner_join(kept, r, c, i) == doubled:
+                        lowers = classes(down_ok, downs[gap:], r + 1)
+                        passed = sum(m for v, m in lowers if _is_corner(kept, v, c, i, k))
+                        corner_ok += up_ok[n] * passed
+                    if _outside_join(held, r, c, j) == doubled:
+                        passed = sum(m for v, m in uppers if _is_outside_corner(held, v, c, j, k))
+                        outside_ok += passed * down_ok[held_n]
     expected = count_bssyt(lam, k)
     return VerificationReport(
         claim="bssyt_roundtrip",
@@ -346,8 +341,8 @@ def verify_roundtrip(lam, k):
             "shape": lam,
             "k": k,
             "tableaux": total,
-            "method": "row-transfer",
-            "peak_states": max(map(len, info)),
+            "method": "row-lattice",
+            "peak_states": size,
         },
         lhs=[corner_ok, outside_ok],
         rhs=[expected, expected],

@@ -4,7 +4,8 @@ A subshape is kept as its part tuple padded with zeros to lam's length; the
 subshapes are listed in increasing lexicographic order, so the empty shape
 comes first and lam last.  The two zeta transforms (sum over the subshapes
 below, or above inside lam) run one row at a time, one addition per
-subshape per row.
+subshape per row.  J of the box k^m is the lattice of rows on which
+`bijections.verify_roundtrip` counts.
 
 The same row steps carry the covers of the lattice.  The down step of mu in
 row i lowers mu_i by one and clamps the rows below to it; when it clamps

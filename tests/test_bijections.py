@@ -1,4 +1,5 @@
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -185,8 +186,8 @@ def test_verify_roundtrip_report():
     assert report.equal
     assert report.lhs == report.rhs
     assert report.params["tableaux"] == report.rhs[0]
-    assert report.params["method"] == "row-transfer"
-    assert report.params["peak_states"] == 6  # row 1: two entries in [1, 3]
+    assert report.params["method"] == "row-lattice"
+    assert report.params["peak_states"] == 6  # J(2^2): rows of width 2, entries in [0, 2]
     report = verify_roundtrip(P((4, 4, 2, 1)), 3)
     assert report.equal and report.lhs == report.rhs == [39732, 39732]
     assert report.params["tableaux"] == count_bssyt(P((4, 4, 2, 1)), 3)
@@ -228,6 +229,27 @@ def test_roundtrip_count_against_tableau_walk():
                 assert _counted(report) == _walk_roundtrip(lam, k), (lam, k)
 
 
+def _macmahon(rows, cols, k):
+    """Plane partitions in a rows x cols x k box: the RPPs of the rectangle."""
+    value = Fraction(1)
+    for i in range(1, rows + 1):
+        for j in range(1, cols + 1):
+            for l in range(1, k + 1):
+                value *= Fraction(i + j + l - 1, i + j + l - 2)
+    return value
+
+
+def test_roundtrip_count_against_product_formula():
+    # rectangles no walk reaches: b^a has k*a*b/(a + b) times MacMahon's
+    # product of bssyt, the product computed here without the package
+    cases = [(a, b, k) for a in range(1, 7) for b in range(1, 7) for k in (1, 2, 3)]
+    for a, b, k in cases + [(8, 8, 3)]:
+        report = verify_roundtrip(P((b,) * a), k)
+        assert report.equal, (a, b, k)
+        expected = Fraction(k * a * b, a + b) * _macmahon(a, b, k)
+        assert report.params["tableaux"] == expected, (a, b, k)
+
+
 def _slipped_corner(row, below, c, level, k):
     # _is_corner with > for >= against the right neighbour
     return (
@@ -235,6 +257,26 @@ def _slipped_corner(row, below, c, level, k):
         and row[c] < level
         and (c + 1 == len(row) or row[c + 1] > level)
         and (c >= len(below) or below[c] >= level)
+    )
+
+
+def _slipped_lower(row, below, c, level, k):
+    # _is_corner with > for >= against the lower neighbour
+    return (
+        1 <= level <= k
+        and row[c] < level
+        and (c + 1 == len(row) or row[c + 1] >= level)
+        and (c >= len(below) or below[c] > level)
+    )
+
+
+def _slipped_upper(row, above, c, level, k):
+    # _is_outside_corner with level - 1 for level against the upper neighbour
+    return (
+        1 <= level <= k
+        and row[c] >= level
+        and (c == 0 or row[c - 1] < level)
+        and (c >= len(above) or above[c] < level - 1)
     )
 
 
@@ -248,7 +290,13 @@ def _slipped_join(row, t, doubled=None):
 
 
 @pytest.mark.parametrize(
-    "helper, mutant", [("_is_corner", _slipped_corner), ("_join_row", _slipped_join)]
+    "helper, mutant",
+    [
+        ("_is_corner", _slipped_corner),
+        ("_is_corner", _slipped_lower),
+        ("_is_outside_corner", _slipped_upper),
+        ("_join_row", _slipped_join),
+    ],
 )
 def test_roundtrip_count_sees_a_slipped_row_step(monkeypatch, helper, mutant):
     # the maps, the triple checks and the count share the row steps, so a
@@ -261,9 +309,11 @@ def test_roundtrip_count_sees_a_slipped_row_step(monkeypatch, helper, mutant):
         assert report.params["tableaux"] == count_bssyt(P(parts), k)
         total, corner_ok, outside_ok = walked
         if parts == (1,):
-            # one cell: no right or lower neighbour, and no singleton cell
+            # one cell: no neighbour, and no singleton cell
             assert report.equal and corner_ok == outside_ok == total
         elif helper == "_is_corner":
             assert not report.equal and 0 < corner_ok < total == outside_ok
+        elif helper == "_is_outside_corner":
+            assert not report.equal and 0 < outside_ok < total == corner_ok
         else:
             assert not report.equal and corner_ok == outside_ok == 0
