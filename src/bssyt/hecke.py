@@ -6,9 +6,13 @@ transposition only when it increases the inversion count; the polynomial
 attached to a permutation w and a word length sums the product of (x + i)
 over the letters of every length-matching word that folds to w.
 
-The polynomial is computed by a dynamic program keyed on the reachable
-permutations level by level, which stays within n! states instead of
-walking all (n-1)**length letter sequences; the plain walk is kept as
+The polynomial is computed by a dynamic program keyed on permutations
+level by level instead of walking all (n-1)**length letter sequences.  It
+keeps only the states that can still fold to w: a Demazure product only
+goes up in Bruhat order, so every prefix state lies in the interval [e, w],
+and a letter adds at most one inversion, so a state needs a length of at
+least length(w) minus the letters left.  Both cuts are exact at every
+level, not only the last.  The plain walk is kept as
 fk_polynomial_bruteforce and serves as the test oracle for the dynamic
 program.  Every level of the program is the polynomial at one word length,
 so the ratio identities read lengths ell and ell + 1 off a single pass.
@@ -18,6 +22,7 @@ never by dividing.
 
 import itertools
 import math
+from operator import le
 
 from .exactmath import IntPolynomial, binomial
 from .reports import VerificationReport, require_balanced
@@ -42,6 +47,9 @@ __all__ = [
     "verify_fk_longest",
     "verify_fk_ratio",
 ]
+
+# The reports' "method": the word DP kept to [e, w] and the length budget.
+_DP_METHOD = "bruhat-pruned-dp"
 
 
 def permutation(values):
@@ -154,38 +162,69 @@ def hecke_product(word, n):
     return u
 
 
-def _expand_level(states, linears):
-    """One word letter: every state branches over all generators, polynomials
-    accumulate per target state."""
-    out = {}
-    for u, poly in states.items():
-        for i, lin in linears:
-            v = demazure_step(u, i)
-            term = poly * lin
-            out[v] = out[v] + term if v in out else term
-    return out
-
-
 def _fk_levels(w, top):
-    """The word polynomials of w at every length 0..top, from one DP pass."""
+    """The word polynomials of w at every length 0..top, from one DP pass,
+    and the most states the pass kept on one level.
+
+    A state at level L is kept only if it lies below w in Bruhat order and
+    its length is at least length(w) - (top - L).  Each state carries its
+    length and its polynomial as a coefficient list.  A step v = u s_i with
+    u[i-1] < u[i] changes only the i-prefix of u, and u <= w is already
+    known, so v <= w exactly when sorted(v[:i]) lies entrywise below
+    sorted(w[:i]) (the tableau criterion).  Such a step adds one inversion,
+    so it always meets the length budget; a letter that leaves u fixed must
+    meet it again at the next level.
+    """
     w = permutation(w)
     if top < 0:
         raise ValueError("word length must be nonnegative")
     n = len(w)
-    linears = [(i, IntPolynomial.linear(i)) for i in range(1, n)]
-    states = {identity(n): IntPolynomial.one()}
-    zero = IntPolynomial.zero()
-    levels = [states.get(w, zero)]
-    for _ in range(top):
-        states = _expand_level(states, linears)
-        levels.append(states.get(w, zero))
-    return levels
+    goal = length(w)
+    prefixes = [sorted(w[:i]) for i in range(n)]
+    states = {identity(n): (0, [1])} if goal <= top else {}
+    found = [states[w][1] if w in states else ()]
+    peak = len(states)
+    for level in range(1, top + 1):
+        floor = goal - (top - level)
+        out = {}
+        for u, (ell, poly) in states.items():
+            # letters fixing u add (slope * x + constant) * poly to u itself
+            slope = constant = 0
+            for i in range(1, n):
+                a, b = u[i - 1], u[i]
+                if a > b:
+                    slope += 1
+                    constant += i
+                    continue
+                head = u[: i - 1] + (b,)
+                if all(map(le, sorted(head), prefixes[i])):
+                    _add_times_linear(out, head + (a,) + u[i + 1 :], ell + 1, poly, 1, i)
+            if slope and ell >= floor:
+                _add_times_linear(out, u, ell, poly, slope, constant)
+        states = out
+        peak = max(peak, len(states))
+        found.append(states[w][1] if w in states else ())
+    return [IntPolynomial(coeffs) for coeffs in found], peak
+
+
+def _add_times_linear(states, v, ell, poly, slope, constant):
+    """states[v] += (slope * x + constant) * poly, by shift-add on the lists."""
+    entry = states.get(v)
+    if entry is None:
+        acc = [0] * (len(poly) + 1)
+        states[v] = (ell, acc)
+    else:
+        acc = entry[1]
+    for d, c in enumerate(poly):
+        acc[d] += constant * c
+        acc[d + 1] += slope * c
 
 
 def fk_polynomial(w, ell):
     """Sum of the letter products (x + i_1)...(x + i_ell) over all length-ell
     words folding to w; the zero polynomial when no such word exists."""
-    return _fk_levels(w, ell)[ell]
+    levels, _ = _fk_levels(w, ell)
+    return levels[ell]
 
 
 def fk_polynomial_bruteforce(w, ell):
@@ -234,14 +273,15 @@ def verify_fk_longest(n):
     Two right-hand sides are compared in cleared form: the formula as
     printed in the source, with numerator x + i + j - 1, and the variant
     with numerator 2x + i + j - 1.  Direct computation shows the printed
-    form fails already at n = 2 while the doubled-x variant matches through
-    n = 5, so the variant is treated as the reference (equal reflects it)
-    and both outcomes are reported.
+    form fails already at n = 2 while the doubled-x variant matches for
+    every n <= 8, so the variant is treated as the reference (equal
+    reflects it) and both outcomes are reported.
     """
-    if not 2 <= n <= 5:
-        raise ValueError("n must be in [2, 5]")
+    if not 2 <= n <= 8:
+        raise ValueError("n must be in [2, 8]")
     ell0 = n * (n - 1) // 2
-    lhs = fk_polynomial(longest_permutation(n), ell0)
+    levels, peak = _fk_levels(longest_permutation(n), ell0)
+    lhs = levels[ell0]
     denominator = 1
     printed = IntPolynomial.one()
     doubled = IntPolynomial.one()
@@ -262,6 +302,8 @@ def verify_fk_longest(n):
             "as_printed_equal": as_printed_equal,
             "doubled_x_equal": doubled_equal,
             "leading_coefficient": lhs.leading_coefficient(),
+            "method": _DP_METHOD,
+            "peak_states": peak,
         },
         lhs=lhs_cleared,
         rhs=doubled * scale,
@@ -279,7 +321,8 @@ def verify_fk_ratio(lam, k_values=(1, 2, 3)):
     w = dominant_from_partition(lam)
     ell = length(w)
     r, c = lam.rows, lam.cols
-    f_ell, f_next = _fk_levels(w, ell + 1)[ell:]
+    levels, peak = _fk_levels(w, ell + 1)
+    f_ell, f_next = levels[ell:]
     clear = ell * (r + c)
     lhs = f_next * clear
     rhs = f_ell * IntPolynomial.linear(clear, 2 * r * c) * binomial(ell + 1, 2)
@@ -296,6 +339,8 @@ def verify_fk_ratio(lam, k_values=(1, 2, 3)):
             "k_values": list(k_values),
             "polynomial_equal": polynomial_equal,
             "numeric_equal": numeric_equal,
+            "method": _DP_METHOD,
+            "peak_states": peak,
         },
         lhs=lhs,
         rhs=rhs,
@@ -310,7 +355,8 @@ def verify_fk_bssyt_relation(lam, k):
     require_bound(k)
     w = dominant_from_partition(lam)
     ell = length(w)
-    f_ell, f_next = _fk_levels(w, ell + 1)[ell:]
+    levels, peak = _fk_levels(w, ell + 1)
+    f_ell, f_next = levels[ell:]
     value_ell, value_next = f_ell.evaluate(k), f_next.evaluate(k)
     ssyt = count_ssyt(lam, k)
     bssyt = count_bssyt(lam, k)
@@ -327,6 +373,8 @@ def verify_fk_bssyt_relation(lam, k):
             "bssyt_count": bssyt,
             "fk_at_k": value_ell,
             "fk_next_at_k": value_next,
+            "method": _DP_METHOD,
+            "peak_states": peak,
         },
         lhs=lhs,
         rhs=rhs,

@@ -289,6 +289,13 @@ def _slipped_join(row, t, doubled=None):
     return tuple(cells)
 
 
+def _slipped_second_join(row, t, doubled=None, join_row=bijections._join_row):
+    # _slipped_join on row 2 alone: the doubled row's own join may hold while
+    # its neighbour in row 2 breaks, so the count must read the neighbours'
+    # survive counts, not all fillings
+    return (_slipped_join if t == 2 else join_row)(row, t, doubled)
+
+
 @pytest.mark.parametrize(
     "helper, mutant",
     [
@@ -296,6 +303,7 @@ def _slipped_join(row, t, doubled=None):
         ("_is_corner", _slipped_lower),
         ("_is_outside_corner", _slipped_upper),
         ("_join_row", _slipped_join),
+        ("_join_row", _slipped_second_join),
     ],
 )
 def test_roundtrip_count_sees_a_slipped_row_step(monkeypatch, helper, mutant):
@@ -315,5 +323,8 @@ def test_roundtrip_count_sees_a_slipped_row_step(monkeypatch, helper, mutant):
             assert not report.equal and 0 < corner_ok < total == outside_ok
         elif helper == "_is_outside_corner":
             assert not report.equal and 0 < outside_ok < total == corner_ok
+        elif mutant is _slipped_second_join and parts == (2, 1):
+            # row 2 is one cell, which slips only when it is not the pair
+            assert not report.equal and 0 < corner_ok == outside_ok < total
         else:
             assert not report.equal and corner_ok == outside_ok == 0

@@ -96,6 +96,11 @@ def test_verify_fk14(capsys):
     doc = json.loads(out)
     assert doc["params"]["as_printed_equal"] is False
     assert doc["params"]["doubled_x_equal"] is True
+    code, out, _ = run(capsys, "verify", "fk14", "--n", "4", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["method"] == "bruhat-pruned-dp"
+    assert doc["params"]["peak_states"] == 6  # the largest Mahonian number of S4
 
 
 def test_verify_fk36_default_points(capsys):

@@ -164,6 +164,30 @@ def test_fk_polynomial_matches_bruteforce():
                 assert fk_polynomial(w, ell) == fk_polynomial_bruteforce(w, ell)
 
 
+def test_every_dp_level_matches_bruteforce():
+    # every level of one pass, not only the top: fk36 and fk37 read levels
+    # ell and ell + 1 off one pass, so a cut too deep at a lower level must show
+    for n in (2, 3, 4):
+        for w in itertools.permutations(range(1, n + 1)):
+            walked = [fk_polynomial_bruteforce(w, ell) for ell in range(7)]
+            for top in range(7):
+                levels, _ = hecke._fk_levels(w, top)
+                assert levels == walked[: top + 1], (w, top)
+
+
+def test_dp_reports_method_and_peak_states():
+    # fk14 at n = 4 keeps the permutations of length L at level L, whose
+    # largest count is the Mahonian number 6; without the Bruhat cut fk37
+    # on (3,1) would keep 11 states on some level
+    for report, peak in (
+        (verify_fk_longest(4), 6),
+        (verify_fk_bssyt_relation(P((3, 1)), 2), 7),
+        (verify_fk_ratio(P((2, 1)), [1]), 4),
+    ):
+        assert report.params["method"] == "bruhat-pruned-dp"
+        assert report.params["peak_states"] == peak
+
+
 def test_reduced_word_counts():
     assert count_reduced_words(identity(3)) == 1
     assert count_reduced_words(longest_permutation(3)) == 2
@@ -185,7 +209,16 @@ def test_fk_longest_reports_both_forms():
     with pytest.raises(ValueError):
         verify_fk_longest(1)
     with pytest.raises(ValueError):
-        verify_fk_longest(6)
+        verify_fk_longest(9)
+
+
+def test_fk_longest_beyond_five():
+    # the leading coefficient counts the reduced words of the longest element
+    for n, reduced_words in ((6, 292864), (7, 1100742656)):
+        report = verify_fk_longest(n)
+        assert report.equal and report.params["doubled_x_equal"] is True
+        assert count_reduced_words(longest_permutation(n)) == reduced_words
+        assert report.params["leading_coefficient"] == reduced_words
 
 
 def test_fk_ratio_single_box():
