@@ -18,9 +18,10 @@ transform runs one row at a time, one addition per subshape per row (see
 the lattice module).  The pair walk over enumerate_rpp stays in the tests as
 the histogram's oracle.  Every ensemble claim here is a sum over the
 histogram's subshapes.  The corner double sums, the per-cell toggle sums
-and the expected jaggedness add H(mu) over the cover rows of J(lam), the
-rows where mu has a corner or a proper outside corner, without building a
-shape per subshape.  verify_weak_expectation_by_subshape walks every
+and the expected jaggedness come from one pass over the cover rows of
+J(lam), the rows where mu has a corner or a proper outside corner, that
+adds H(mu) to the cell toggled, without building a shape per subshape.
+verify_weak_expectation_by_subshape walks every
 subshape and measures its jaggedness from shapes instead, as the
 independent route to the same expectation.  All probabilities and
 expectations are exact rationals; nothing is sampled.
@@ -28,6 +29,7 @@ expectations are exact rationals; nothing is sampled.
 
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 from .lattice import subshape_lattice, zeta
 from .reports import VerificationReport, require_balanced
@@ -72,7 +74,8 @@ def _histogram(lam, k):
     for _ in range(k - 1):
         A.append(zeta(A[-1], lattice.down))
         B.append(zeta(B[-1], lattice.up))
-    H = [sum(A[i][n] * B[k - 1 - i][n] for i in range(k)) for n in range(len(A[0]))]
+    # per subshape, the dot product of (A_0 .. A_{k-1}) with (B_{k-1} .. B_0)
+    H = [sum(map(mul, a, b)) for a, b in zip(zip(*A), zip(*reversed(B)))]
     return lattice, H
 
 
@@ -86,16 +89,23 @@ def weak_histogram(lam, k):
     return Counter({tuple(p for p in mu if p): n for mu, n in zip(lattice.shapes, H)})
 
 
-def _corner_sums(lam, k):
-    """(pair count, corner sum, proper outside corner sum) over the ensemble.
+def _toggle_sums(lam, k):
+    """(pair count, toggle-ins, toggle-outs) over the ensemble, in one pass
+    over the cover rows of J(lam).
 
-    Each sum adds H(mu) once per cover row of mu: once per corner of mu, or
-    once per proper outside corner of mu in lam.
+    ins[i][j] and outs[i][j] add H(mu) over the subshapes mu of which the
+    cell (i + 1, j), 1-based, is a proper outside corner, or a corner.
     """
     lattice, H = _histogram(lam, k)
-    corner_sum = sum(H[n] for row in lattice.corners for n in row)
-    outside_sum = sum(H[n] for row in lattice.outside for n in row)
-    return sum(H), corner_sum, outside_sum
+    shapes = lattice.shapes
+    ins = [[0] * (width + 1) for width in lam.parts]
+    outs = [[0] * (width + 1) for width in lam.parts]
+    for i, (removable, addable) in enumerate(zip(lattice.corners, lattice.outside)):
+        for n in removable:
+            outs[i][shapes[n][i]] += H[n]
+        for n in addable:
+            ins[i][shapes[n][i] + 1] += H[n]
+    return sum(H), ins, outs
 
 
 def weak_probability(mu, lam, k):
@@ -108,41 +118,28 @@ def weak_probability(mu, lam, k):
 
 def expected_jaggedness_weak(lam, k):
     """Mean jaggedness of the induced subshape over all uniform pairs; exact."""
-    pairs, corner_sum, outside_sum = _corner_sums(lam, k)
-    return Fraction(corner_sum + outside_sum, pairs)
+    pairs, ins, outs = _toggle_sums(lam, k)
+    return Fraction(sum(map(sum, ins)) + sum(map(sum, outs)), pairs)
 
 
 def check_toggle_symmetric(lam, k):
     """Per cell of lam: ensemble count of toggle-ins versus toggle-outs.
 
     A cell toggles into an induced subshape exactly when it is one of its
-    proper outside corners, and out exactly when it is one of its corners,
-    so each subshape contributes its pair count through its cover rows: a
-    corner in row i is the cell (i, mu_i), an outside corner (i, mu_i + 1).
-    Returns one report per cell in row-major order.
+    proper outside corners, and out exactly when it is one of its corners.
+    One report: lhs and rhs map each cell of lam, in row-major order, to its
+    toggle-in and toggle-out count.
     """
-    lattice, H = _histogram(lam, k)
-    shapes = lattice.shapes
-    ins = [[0] * (width + 1) for width in lam.parts]
-    outs = [[0] * (width + 1) for width in lam.parts]
-    for i, (removable, addable) in enumerate(zip(lattice.corners, lattice.outside)):
-        for n in removable:
-            outs[i][shapes[n][i]] += H[n]
-        for n in addable:
-            ins[i][shapes[n][i] + 1] += H[n]
-    reports = []
-    for cell in lam.cells():
-        into, out_of = ins[cell.row - 1][cell.col], outs[cell.row - 1][cell.col]
-        reports.append(
-            VerificationReport(
-                claim="toggle_symmetry_at_cell",
-                params={"shape": lam, "k": k, "cell": cell},
-                lhs=into,
-                rhs=out_of,
-                equal=into == out_of,
-            )
-        )
-    return reports
+    _, ins, outs = _toggle_sums(lam, k)
+    lhs = {cell: ins[cell.row - 1][cell.col] for cell in lam.cells()}
+    rhs = {cell: outs[cell.row - 1][cell.col] for cell in lhs}
+    return VerificationReport(
+        claim="toggle_symmetry",
+        params={"shape": lam, "k": k, "cells": len(lhs)},
+        lhs=lhs,
+        rhs=rhs,
+        equal=lhs == rhs,
+    )
 
 
 def verify_balanced_expectation(lam, k):
@@ -262,7 +259,8 @@ def verify_conjecture_rect(a, b, d, k):
 def verify_double_sums(lam, k):
     """Corner and proper-outside-corner ensemble sums against the barely
     set-valued count; holds for every shape, balanced or not."""
-    pairs, corner_sum, outside_sum = _corner_sums(lam, k)
+    pairs, ins, outs = _toggle_sums(lam, k)
+    corner_sum, outside_sum = sum(map(sum, outs)), sum(map(sum, ins))
     bssyt = count_bssyt(lam, k)
     return VerificationReport(
         claim="corner_sums_match_bssyt",

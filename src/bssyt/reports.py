@@ -22,6 +22,8 @@ def _encode(value):
         return value
     if isinstance(value, int):
         return value
+    if isinstance(value, Cell):  # ahead of Fraction, an ABC with a slow isinstance
+        return f"{value.row},{value.col}"
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -30,8 +32,6 @@ def _encode(value):
         return str(value)
     if isinstance(value, Partition):
         return value.to_text()
-    if isinstance(value, Cell):
-        return f"{value.row},{value.col}"
     if isinstance(value, dict):
         return {_encode_key(k): _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -131,7 +131,7 @@ def rect_staircase(a, b, d):
     Has a*(d-1) rows, row i of length b*(d-1-(i-1)//a); d=1 gives the empty
     shape.
     """
-    if a < 1 or b < 1 or d < 1:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (a, b, d)):
         raise ValueError("a, b, d must be positive")
     return Partition(b * (d - 1 - i // a) for i in range(a * (d - 1)))
 

@@ -106,7 +106,7 @@ class SetValuedTableau:
             for j, cell in enumerate(row, start=1):
                 if not cell:
                     raise ValueError(f"empty cell at ({t}, {j})")
-                if any(not isinstance(v, int) for v in cell):
+                if any(isinstance(v, bool) or not isinstance(v, int) for v in cell):
                     raise ValueError(f"non-integer entry at ({t}, {j})")
                 if any(cell[m] >= cell[m + 1] for m in range(len(cell) - 1)):
                     raise ValueError(f"cell at ({t}, {j}) is not a sorted set")
@@ -185,7 +185,7 @@ class ReversePlanePartition:
             if len(row) != width:
                 raise ValueError(f"row {t} does not match the shape")
             for j, v in enumerate(row, start=1):
-                if not isinstance(v, int) or not 0 <= v <= self.k:
+                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= self.k:
                     raise ValueError(f"entry {v!r} at ({t}, {j}) outside [0, {self.k}]")
                 if j > 1 and row[j - 2] > v:
                     raise ValueError(f"row {t} is not weakly increasing at column {j}")

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bssyt
-from bssyt import cli
+from bssyt import bijections, cli, hecke, jaggedness
 from bssyt.reports import VerificationReport
+from bssyt.shapes import Partition
 
 
 def run(capsys, *argv):
@@ -88,6 +89,14 @@ def test_verify_togglesym(capsys):
     assert doc["equal"] is True
     assert set(doc["lhs"]) == {"1,1", "1,2", "2,1"}
     assert doc["lhs"] == doc["rhs"]
+    assert out == (
+        '{\n  "claim": "toggle_symmetry",\n'
+        '  "params": {\n    "shape": "2,1",\n    "k": 2,\n    "cells": 3\n  },\n'
+        '  "lhs": {\n    "1,1": 6,\n    "1,2": 11,\n    "2,1": 11\n  },\n'
+        '  "rhs": {\n    "1,1": 6,\n    "1,2": 11,\n    "2,1": 11\n  },\n'
+        '  "equal": true,\n'
+        f'  "elapsed_ms": {doc["elapsed_ms"]}\n}}\n'
+    )
 
 
 def test_verify_fk14(capsys):
@@ -103,15 +112,30 @@ def test_verify_fk14(capsys):
     assert doc["params"]["peak_states"] == 6  # the largest Mahonian number of S4
 
 
-def test_verify_fk36_default_points(capsys):
+def test_verify_fk36_default_points(capsys, parsers_built):
     code, out, _ = run(capsys, "verify", "fk36", "--shape", "2,1", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"]["k_values"] == [1, 2, 3]
+    assert doc["equal"] is True
+    assert "k_values" not in doc["params"] and "numeric_equal" not in doc["params"]
+    # without --k the size heuristic takes k = 1: (1 + 2) * 3 = 9
+    code, out, _ = run(capsys, "verify", "fk36", "--shape", "2,1", "--limit", "9")
+    assert code == 0 and out.startswith("PASS ")
+    code, out, err = run(capsys, "verify", "fk36", "--shape", "2,1", "--limit", "8")
+    assert (code, out) == (3, "")
+    assert err == "refused: size heuristic (1 + 2) * 3 = 9 exceeds --limit 8\n"
+    # a given --k is the heuristic's k: (2 + 2) * 3 = 12
+    code, out, err = run(capsys, "verify", "fk36", "--shape", "2,1", "--k", "2",
+                         "--limit", "9")
+    assert (code, out) == (3, "")
+    assert err == "refused: size heuristic (2 + 2) * 3 = 12 exceeds --limit 9\n"
+    assert parsers_built == []
     for bad in ("0", "-3"):
         code, out, err = run(capsys, "verify", "fk36", "--shape", "2,1", "--k", bad)
         assert code == 2 and out == ""
         assert err == f"error: bound k must be a positive integer, got {bad}\n"
+    # a value beginning with "-" is left to the full parser
+    assert parsers_built == FULL_PARSER
 
 
 def test_verify_fk37(capsys):
@@ -205,6 +229,49 @@ def test_failing_identity_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "doublesums", "--shape", "1", "--k", "1")
     assert code == 1
     assert out.startswith("FAIL")
+
+
+P = Partition
+
+# one pinned command line per claim, with the library call that makes its report
+_ONE_REPORT = [
+    (["verify", "conjecture11", "--a", "1", "--b", "2", "--d", "3", "--k", "1"],
+     lambda: jaggedness.verify_conjecture_rect(1, 2, 3, 1)),
+    (["verify", "theorem31", "--shape", "3,2,1", "--k", "1"],
+     lambda: jaggedness.verify_count_identity(P((3, 2, 1)), 1)),
+    (["verify", "theorem21", "--shape", "2,2,2", "--k", "2"],
+     lambda: jaggedness.verify_balanced_expectation(P((2, 2, 2)), 2)),
+    (["verify", "theorem22", "--shape", "3,3,1", "--k", "1"],
+     lambda: jaggedness.verify_weak_expectation_by_subshape(P((3, 3, 1)), 1)),
+    (["verify", "doublesums", "--shape", "3,3", "--k", "2"],
+     lambda: jaggedness.verify_double_sums(P((3, 3)), 2)),
+    (["verify", "togglesym", "--shape", "4,2,1", "--k", "1"],
+     lambda: jaggedness.check_toggle_symmetric(P((4, 2, 1)), 1)),
+    (["verify", "roundtrip", "--shape", "3,3,3,2", "--k", "1"],
+     lambda: bijections.verify_roundtrip(P((3, 3, 3, 2)), 1)),
+    (["verify", "fk14", "--n", "4"],
+     lambda: hecke.verify_fk_longest(4)),
+    (["verify", "fk36", "--shape", "3,2,1", "--k", "1"],
+     lambda: hecke.verify_fk_ratio(P((3, 2, 1)))),
+    (["verify", "fk37", "--shape", "3,1,1", "--k", "2"],
+     lambda: hecke.verify_fk_bssyt_relation(P((3, 1, 1)), 2)),
+]
+
+
+def test_one_report_per_claim_covers_every_claim():
+    assert sorted(argv[1] for argv, _ in _ONE_REPORT) == sorted(cli.CLAIMS)
+    pinned = list(_pinned_argv())
+    for argv, _ in _ONE_REPORT:
+        assert argv in pinned, argv
+
+
+@pytest.mark.parametrize("argv, report", _ONE_REPORT, ids=[a[1] for a, _ in _ONE_REPORT])
+def test_json_document_is_the_library_report(capsys, argv, report):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    doc.pop("elapsed_ms")
+    assert code == 0
+    assert doc == report().as_dict()
 
 
 def _full_parser_result(capsys, argv):

@@ -19,6 +19,7 @@ from bssyt.jaggedness import (
 from bssyt.lattice import subshape_lattice
 from bssyt.reports import VerificationReport
 from bssyt.shapes import (
+    Cell,
     NotBalancedError,
     Partition,
     all_subshapes,
@@ -122,19 +123,23 @@ def test_unconditional_bridge_identity():
 
 
 def test_toggle_symmetry_small():
-    reports = check_toggle_symmetric(P((1,)), 1)
-    assert len(reports) == 1
-    assert reports[0].lhs == reports[0].rhs == 1
+    report = check_toggle_symmetric(P((1,)), 1)
+    assert list(report.lhs) == list(report.rhs) == [Cell(1, 1)]
+    assert report.lhs[Cell(1, 1)] == report.rhs[Cell(1, 1)] == 1
     for lam, k in ((P((2, 1)), 2), (P((4, 4, 2, 1)), 2)):
-        reports = check_toggle_symmetric(lam, k)
-        assert len(reports) == lam.ncells
-        assert all(r.equal for r in reports)
+        report = check_toggle_symmetric(lam, k)
+        assert list(report.lhs) == list(report.rhs) == list(lam.cells())
+        assert report.params["cells"] == lam.ncells
+        assert all(report.lhs[cell] == report.rhs[cell] for cell in lam.cells())
+        assert report.equal
 
 
 def test_toggle_symmetry_full_grid():
     for lam in all_subshapes(P((4, 4, 4, 4))):
         for k in (1, 2, 3):
-            assert all(r.equal for r in check_toggle_symmetric(lam, k))
+            report = check_toggle_symmetric(lam, k)
+            assert all(report.lhs[cell] == report.rhs[cell] for cell in lam.cells())
+            assert report.equal
 
 
 def _cover_cells(lattice):
@@ -186,9 +191,12 @@ def test_cover_sums_against_subshape_walk():
         for k in (1, 2, 3):
             corner_sum, outside_sum, ins, outs = _subshape_walk(lam, k)
             assert verify_double_sums(lam, k).lhs == [corner_sum, outside_sum], (lam, k)
-            for report in check_toggle_symmetric(lam, k):
-                cell = report.params["cell"]
-                assert (report.lhs, report.rhs) == (ins.get(cell, 0), outs.get(cell, 0))
+            report = check_toggle_symmetric(lam, k)
+            for cell in lam.cells():
+                assert (report.lhs[cell], report.rhs[cell]) == (
+                    ins.get(cell, 0),
+                    outs.get(cell, 0),
+                )
 
 
 @pytest.mark.parametrize("covers", ["corners", "outside"])

@@ -68,6 +68,13 @@ def test_rect_staircase():
         rect_staircase(1, 1, 0)
 
 
+def test_rect_staircase_rejects_bools():
+    # True would pass as 1 and give Partition((1,))
+    for args in ((True, 1, 2), (1, True, 2), (1, 1, True)):
+        with pytest.raises(ValueError, match="a, b, d must be positive"):
+            rect_staircase(*args)
+
+
 def test_rect_staircase_dimensions_and_balance():
     for a in range(1, 6):
         for b in range(1, 6):

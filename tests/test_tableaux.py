@@ -60,6 +60,19 @@ def test_rpp_validation():
     assert ReversePlanePartition.parse("0,1/1", k=1).rows == ((0, 1), (1,))
 
 
+def test_rpp_rejects_bool_entries():
+    # a bool would pass as 0 or 1 and serialize as False/True
+    with pytest.raises(ValueError):
+        ReversePlanePartition(P((2,)), ((False, True),), 1)
+    assert ReversePlanePartition(P((2,)), ((0, 1),), 1).serialize() == "0,1"
+
+
+def test_setvalued_rejects_bool_entries():
+    with pytest.raises(ValueError, match="non-integer entry"):
+        SetValuedTableau(P((1,)), (((True,),),), 1)
+    assert SetValuedTableau(P((1,)), (((1,),),), 1).serialize() == "1"
+
+
 def test_enumerate_ssyt_counts():
     assert count_ssyt(P((1,)), 2) == 3
     assert count_ssyt(P((2, 1)), 1) == 5
