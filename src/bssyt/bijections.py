@@ -276,29 +276,30 @@ def verify_roundtrip(lam, k):
         cells = [tuple([(v + t,) for v in row]) for row in rows[t]]
         survives[t] = [f and _join_row(_shift_row(T, t), t) == T for f, T in zip(fits[t], cells)]
 
-    def transfer(levels, steps):
+    def transfer(levels, up):
         # reach[t]: per subshape, the fillings of the rows beyond row t whose
         # nearest row fits next to it, and those whose every row survives
         total = ok = [1] * size
         reach = {}
         for t in levels:
             reach[t] = total, ok
-            total = zeta([n if f else 0 for n, f in zip(total, fits[t])], steps)
-            ok = zeta([n if f else 0 for n, f in zip(ok, survives[t])], steps)
+            total = zeta([n if f else 0 for n, f in zip(total, fits[t])], box, up)
+            ok = zeta([n if f else 0 for n, f in zip(ok, survives[t])], box, up)
         return reach
 
-    above = transfer(range(1, len(parts) + 1), box.up)
-    below = transfer(range(len(parts), 0, -1), box.down)
-    lifts = [dict(step) for step in box.up]  # lifts[c][n]: n's up step in row c
-    clamps = [dict(step) for step in reversed(box.down)]  # clamps[c][n]: its down step
+    above = transfer(range(1, len(parts) + 1), up=True)
+    below = transfer(range(len(parts), 0, -1), up=False)
+    lifts = box.up  # lifts[c][n]: n less the source of its up step in row c
+    clamps = box.down[::-1]  # clamps[c][n]: that of its down step
 
-    def chain(n, steps):
+    def chain(n, offsets):
         # n and its steps in one row, to the end: each subshape's principal
         # set holds the next one's, and the difference is the subshapes
         # whose entry in that row is the first one's
         out = [n]
-        while out[-1] in steps:
-            out.append(steps[out[-1]])
+        while offsets[n]:
+            n -= offsets[n]
+            out.append(n)
         return out
 
     def classes(values, path, t):

@@ -72,8 +72,8 @@ def _histogram(lam, k):
     A = [[1] * len(lattice.shapes)]
     B = [A[0]]
     for _ in range(k - 1):
-        A.append(zeta(A[-1], lattice.down))
-        B.append(zeta(B[-1], lattice.up))
+        A.append(zeta(A[-1], lattice))
+        B.append(zeta(B[-1], lattice, up=True))
     # per subshape, the dot product of (A_0 .. A_{k-1}) with (B_{k-1} .. B_0)
     H = [sum(map(mul, a, b)) for a, b in zip(zip(*A), zip(*reversed(B)))]
     return lattice, H
@@ -236,8 +236,6 @@ def verify_conjecture_rect(a, b, d, k):
     d=1 is the degenerate empty shape: no cell can be doubled, the factor
     vanishes, and the report is flagged vacuous.
     """
-    if a < 1 or b < 1 or d < 1:
-        raise ValueError("a, b, d must be positive")
     if k < 1:
         raise ValueError("k must be positive")
     lam = rect_staircase(a, b, d)

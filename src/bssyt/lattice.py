@@ -2,23 +2,41 @@
 
 A subshape is kept as its part tuple padded with zeros to lam's length; the
 subshapes are listed in increasing lexicographic order, so the empty shape
-comes first and lam last.  The two zeta transforms (sum over the subshapes
-below, or above inside lam) run one row at a time, one addition per
-subshape per row.  J of the box k^m is the lattice of rows on which
-`bijections.verify_roundtrip` counts.
+comes first and lam last.  In that order the index of mu is additive:
 
-The same row steps carry the covers of the lattice.  The down step of mu in
-row i lowers mu_i by one and clamps the rows below to it; when it clamps
-none (mu_i exceeds mu_{i+1}), it removes the single cell (i, mu_i), which is
-then a corner of mu.  The up step of mu in row i raises mu_i by one inside
-lam and lifts the rows above to it; when it lifts none (i is the top row or
-mu_{i-1} exceeds mu_i), it adds the single cell (i, mu_i + 1), which is then
-a proper outside corner of mu in lam.  Sums over corners and outside
-corners of every subshape are read off these rows without building a
-shape; `shapes.corners` and `shapes.proper_outside_corners` are their
-per-shape definition and their oracle in the tests.
+    rank(mu) = sum over rows i of W_i[mu_i],  W_i[v] = sum over u < v of T_{i+1}(u),
+
+where the tail count T_i(u) is the number of fillings of rows i, i+1, ..
+below a row i - 1 of length u.  The subshapes that agree above row i form
+one block, of T_i(u) subshapes under a row i - 1 of length u, and that
+block is the first T_i(u) subshapes of the block under a full row.  So the
+lattice is built from the tail counts alone, one block at a time, with no
+lookup and no tuple key.
+
+The two zeta transforms (sum over the subshapes below, or above inside lam)
+run one row at a time, one addition per subshape per row.  The down step of
+mu in row i lowers mu_i = m by one and clamps the rows below to it: its
+source ranks W_i[m] - W_i[m - 1] = T_{i+1}(m - 1) lower, and T_{j+1}(m - 1)
+lower again for each row j of the run of rows below i that equal m.  The up
+step of mu in row i raises mu_i = m by one inside lam and lifts the rows
+above to it: its source ranks T_{i+1}(m) higher, and T_{j+1}(m) higher
+again for each row j of the run of rows above i that equal m.  J of the box
+k^m is the lattice of rows on which `bijections.verify_roundtrip` counts.
+
+A step is a cover of the lattice exactly when its run is empty.  A down
+step that clamps no row (mu_i exceeds mu_{i+1}) removes the single cell
+(i, mu_i), which is then a corner of mu; an up step that lifts no row (i is
+the top row or mu_{i-1} exceeds mu_i) adds the single cell (i, mu_i + 1),
+which is then a proper outside corner of mu in lam.  Sums over corners and
+outside corners of every subshape are read off these cover rows without
+building a shape.  `shapes.corners` and `shapes.proper_outside_corners` are
+their per-shape definition and their oracle in the tests; the builder this
+one replaced, which keyed every subshape's tuple in a dict, is the whole
+lattice's oracle there.
 """
 
+from array import array
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 __all__ = ["SubshapeLattice", "subshape_lattice", "zeta"]
@@ -27,12 +45,18 @@ __all__ = ["SubshapeLattice", "subshape_lattice", "zeta"]
 class SubshapeLattice(NamedTuple):
     """The subshapes of a shape, the zeta row steps and the cover rows.
 
-    shapes: the padded part tuples, in increasing lexicographic order.
-    down, up: lists of row steps, each a list of (target, source) index
-    pairs, in the order `zeta` applies them.
-    corners[i], outside[i]: the indices of the subshapes mu, in increasing
-    order, for which row i (0-based) ends in a corner, cell (i + 1, mu_i) in
-    1-based terms, or holds a proper outside corner, cell (i + 1, mu_i + 1).
+    shapes: the padded part tuples, in increasing lexicographic order; the
+    index of mu is its rank, the sum of W_i[mu_i] (see the module).
+    down, up: one array('i') per row of step offsets by target index: the
+    step of subshape n in that row reads subshape n - offset, and offset 0
+    means no step.  Down offsets are positive and up offsets negative.
+    down lists the rows from the bottom up and `zeta` reads each in
+    increasing target order; up lists them from the top down and `zeta`
+    reads each in decreasing order, so every source is final when read.
+    corners[i], outside[i]: array('i') of the indices of the subshapes mu,
+    in increasing order, whose down or up step in row i (0-based) has an
+    empty run, so that row i ends in a corner, cell (i + 1, mu_i) in 1-based
+    terms, or holds a proper outside corner, cell (i + 1, mu_i + 1).
     """
 
     shapes: list
@@ -43,52 +67,83 @@ class SubshapeLattice(NamedTuple):
 
 
 def subshape_lattice(lam):
-    """J(lam) with its zeta row steps and cover rows.
+    """J(lam) with its zeta row steps and cover rows, from the tail counts.
 
-    Down, row i from the bottom up, ascending: the source lowers mu_i by one
-    and clamps the rows below to it.  After row i, values[mu] sums over the
-    nu <= mu that agree with mu above row i.  Up, row i from the top down,
-    descending: the source raises mu_i by one and lifts the rows above to
-    it, inside lam.  After row i, values[mu] sums over the nu >= mu inside
-    lam that agree with mu below row i.  Every source is final when read.
+    Each row's offsets and cover flags are laid out first on the block of
+    rows i, i+1, .. under a full row, where they depend on mu_i and the run
+    below only.  Every block above is the concatenation of prefixes of the
+    block below it, so row i over all of J(lam) is built by slicing.  An up
+    step's run grows upward too: at row d its offset falls by T_{d+1}(v) on
+    the subshapes whose rows d to i all equal v, the last T_{i+1}(v) of the
+    block under v.  After down row i, values[mu] sums over the nu <= mu that
+    agree with mu above row i; after up row i, over the nu >= mu inside lam
+    that agree with mu below row i.
     """
     parts = lam.parts
+    top = max(parts, default=0)
+    tails = [[1] * (top + 1)]  # tails[i][u] = T_i(u), built from the bottom row up
+    for width in reversed(parts):
+        counts = list(accumulate(tails[-1][: width + 1]))
+        tails.append(counts + counts[-1:] * (top - width))
+    tails.reverse()
     shapes = [()]
-    for width in parts:
-        shapes = [mu + (v,) for mu in shapes for v in range(min(mu[-1:] + (width,)) + 1)]
-    index = {mu: n for n, mu in enumerate(shapes)}
+    for d in reversed(range(len(parts))):
+        block = tails[d + 1]
+        shapes = [(v,) + mu for v in range(parts[d] + 1) for mu in shapes[: block[v]]]
+
+    def spread(i, offsets, flags, lifted):
+        # row i from its block to all of J(lam); lifted[v] counts the
+        # subshapes of the block under v whose run row d extends
+        for d in reversed(range(i)):
+            block = tails[d + 1]
+            spread_offsets, spread_flags = array("i"), bytearray()
+            for v in range(parts[d] + 1):
+                n, lift = block[v], lifted[v]
+                spread_offsets += offsets[: n - lift]
+                spread_flags += flags[: n - lift]
+                if lift:
+                    spread_offsets += array("i", [offsets[n - 1] - n]) * lift
+                    spread_flags += bytes(lift)
+            offsets, flags = spread_offsets, spread_flags
+        return offsets, array("i", compress(range(len(flags)), flags))
+
     down, up, corners, outside = [], [], [], []
     for i, width in enumerate(parts):
-        lowered, raised, removable, addable = [], [], [], []
-        for n, mu in enumerate(shapes):
-            m = mu[i]
-            if m:
-                below = mu[i + 1 :]
-                if below and below[0] >= m:
-                    below = tuple(x if x < m else m - 1 for x in below)
-                else:
-                    removable.append(n)
-                lowered.append((n, index[mu[:i] + (m - 1,) + below]))
-            if m < width:
-                above = mu[:i]
-                if above and above[-1] <= m:
-                    above = tuple(x if x > m else m + 1 for x in above)
-                else:
-                    addable.append(n)
-                raised.append((n, index[above + (m + 1,) + mu[i + 1 :]]))
-        down.append(lowered)
-        raised.reverse()
-        up.append(raised)
-        corners.append(removable)
-        outside.append(addable)
+        below = tails[i + 1]
+        # down: mu_i = m on the block, one stretch per length of the run
+        offsets, flags = array("i", [0]) * below[0], bytearray(below[0])
+        for m in range(1, width + 1):
+            offset, j, cover = below[m - 1], i + 1, b"\1"
+            while j < len(parts) and m <= parts[j]:
+                n = tails[j][m] - tails[j + 1][m]  # row j is below m: the run ends
+                offsets += array("i", [offset]) * n
+                flags += cover * n
+                offset, j, cover = offset + tails[j + 1][m - 1], j + 1, b"\0"
+            offsets += array("i", [offset]) * tails[j][m]
+            flags += cover * tails[j][m]
+        offsets, covers = spread(i, offsets, flags, [0] * (top + 1))
+        down.append(offsets)
+        corners.append(covers)
+        # up: mu_i = m < width on the block, whose run above is still empty
+        offsets, flags = array("i"), bytearray()
+        for m in range(width + 1):
+            offsets += array("i", [-below[m] if m < width else 0]) * below[m]
+            flags += bytes([m < width]) * below[m]
+        offsets, covers = spread(i, offsets, flags, below[:width] + [0] * (top + 1 - width))
+        up.append(offsets)
+        outside.append(covers)
     down.reverse()
     return SubshapeLattice(shapes, down, up, corners, outside)
 
 
-def zeta(values, steps):
-    """A new list: values after `values[target] += values[source]` over the steps."""
+def zeta(values, lattice, up=False):
+    """A new list: values after `values[n] += values[n - offset]` over the
+    down row steps of the lattice, or over its up row steps."""
     values = list(values)
-    for step in steps:
-        for target, source in step:
-            values[target] += values[source]
+    targets = range(len(values))
+    for offsets in lattice.up if up else lattice.down:
+        steps = zip(reversed(targets), reversed(offsets)) if up else zip(targets, offsets)
+        for target, offset in steps:
+            if offset:
+                values[target] += values[target - offset]
     return values

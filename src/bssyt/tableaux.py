@@ -431,7 +431,7 @@ def count_rpp(shape, k):
     lattice = subshape_lattice(shape)
     values = [1] * len(lattice.shapes)
     for _ in range(k):
-        values = zeta(values, lattice.down)
+        values = zeta(values, lattice)
     return values[-1]
 
 

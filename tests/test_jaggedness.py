@@ -272,8 +272,10 @@ def test_conjecture_rect():
         assert report.equal
         assert report.params["ssyt_count"] == k + 1
         assert report.lhs == (k + 1) * k // 2
-    with pytest.raises(ValueError):
-        verify_conjecture_rect(0, 1, 2, 1)
+    # a, b and d are checked once, by rect_staircase
+    for bad in ((0, 1, 2, 1), (True, 1, 2, 1), (1, 1, 2.0, 1)):
+        with pytest.raises(ValueError):
+            verify_conjecture_rect(*bad)
     with pytest.raises(ValueError):
         verify_conjecture_rect(1, 1, 2, 0)
 
