@@ -29,7 +29,7 @@ expectations are exact rationals; nothing is sampled.
 
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .lattice import subshape_lattice, zeta
 from .reports import VerificationReport, require_balanced
@@ -74,8 +74,11 @@ def _histogram(lam, k):
     for _ in range(k - 1):
         A.append(zeta(A[-1], lattice))
         B.append(zeta(B[-1], lattice, up=True))
-    # per subshape, the dot product of (A_0 .. A_{k-1}) with (B_{k-1} .. B_0)
-    H = [sum(map(mul, a, b)) for a, b in zip(zip(*A), zip(*reversed(B)))]
+    # per subshape, the dot product of (A_0 .. A_{k-1}) with (B_{k-1} .. B_0);
+    # each pair of transforms is dropped once it is added in
+    H = [0] * len(lattice.shapes)
+    while A:
+        H = list(map(add, H, map(mul, A.pop(), B.pop(0))))
     return lattice, H
 
 

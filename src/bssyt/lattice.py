@@ -90,48 +90,49 @@ def subshape_lattice(lam):
     for d in reversed(range(len(parts))):
         block = tails[d + 1]
         shapes = [(v,) + mu for v in range(parts[d] + 1) for mu in shapes[: block[v]]]
-
-    def spread(i, offsets, flags, lifted):
-        # row i from its block to all of J(lam); lifted[v] counts the
-        # subshapes of the block under v whose run row d extends
-        for d in reversed(range(i)):
-            block = tails[d + 1]
-            spread_offsets, spread_flags = array("i"), bytearray()
-            for v in range(parts[d] + 1):
-                n, lift = block[v], lifted[v]
-                spread_offsets += offsets[: n - lift]
-                spread_flags += flags[: n - lift]
-                if lift:
-                    spread_offsets += array("i", [offsets[n - 1] - n]) * lift
-                    spread_flags += bytes(lift)
-            offsets, flags = spread_offsets, spread_flags
-        return offsets, array("i", compress(range(len(flags)), flags))
-
+    targets = range(len(shapes))
     down, up, corners, outside = [], [], [], []
     for i, width in enumerate(parts):
         below = tails[i + 1]
-        # down: mu_i = m on the block, one stretch per length of the run
-        offsets, flags = array("i", [0]) * below[0], bytearray(below[0])
+        # down on the block: mu_i = m > 0, one stretch per length of the run
+        lowered, corner = [0] * below[0], [0] * below[0]
         for m in range(1, width + 1):
-            offset, j, cover = below[m - 1], i + 1, b"\1"
+            offset, j, cover = below[m - 1], i + 1, 1
             while j < len(parts) and m <= parts[j]:
                 n = tails[j][m] - tails[j + 1][m]  # row j is below m: the run ends
-                offsets += array("i", [offset]) * n
-                flags += cover * n
-                offset, j, cover = offset + tails[j + 1][m - 1], j + 1, b"\0"
-            offsets += array("i", [offset]) * tails[j][m]
-            flags += cover * tails[j][m]
-        offsets, covers = spread(i, offsets, flags, [0] * (top + 1))
-        down.append(offsets)
-        corners.append(covers)
-        # up: mu_i = m < width on the block, whose run above is still empty
-        offsets, flags = array("i"), bytearray()
-        for m in range(width + 1):
-            offsets += array("i", [-below[m] if m < width else 0]) * below[m]
-            flags += bytes([m < width]) * below[m]
-        offsets, covers = spread(i, offsets, flags, below[:width] + [0] * (top + 1 - width))
-        up.append(offsets)
-        outside.append(covers)
+                lowered += [offset] * n
+                corner += [cover] * n
+                offset, j, cover = offset + tails[j + 1][m - 1], j + 1, 0
+            lowered += [offset] * tails[j][m]
+            corner += [cover] * tails[j][m]
+        # up on the block: mu_i = m < width, whose run above is still empty
+        raised = []
+        for m in range(width):
+            raised += [-below[m]] * below[m]
+        addable = b"\1" * len(raised) + bytes(below[width])
+        raised += [0] * below[width]
+        lowered, corner, raised = array("i", lowered), bytes(corner), array("i", raised)
+        for d in reversed(range(i)):
+            # the block of rows d.. is the blocks under v = 0 .. parts[d] of
+            # rows d+1..; under v < width, row d extends the up run of the
+            # last T_{i+1}(v) subshapes, whose rows d+1 to i all equal v
+            block = tails[d + 1]
+            low, cor, rai, add = array("i"), bytearray(), array("i"), bytearray()
+            for v in range(parts[d] + 1):
+                n = block[v]
+                low += lowered[:n]
+                cor += corner[:n]
+                lift = below[v] if v < width else 0
+                rai += raised[: n - lift]
+                add += addable[: n - lift]
+                if lift:
+                    rai += array("i", [raised[n - 1] - n]) * lift
+                    add += bytes(lift)
+            lowered, corner, raised, addable = low, cor, rai, add
+        down.append(lowered)
+        corners.append(array("i", compress(targets, corner)))
+        up.append(raised)
+        outside.append(array("i", compress(targets, addable)))
     down.reverse()
     return SubshapeLattice(shapes, down, up, corners, outside)
 
