@@ -30,8 +30,8 @@ the top row or mu_{i-1} exceeds mu_i) adds the single cell (i, mu_i + 1),
 which is then a proper outside corner of mu in lam.  Sums over corners and
 outside corners of every subshape are read off these cover rows without
 building a shape.  `shapes.corners` and `shapes.proper_outside_corners` are
-their per-shape definition and their oracle in the tests; the builder this
-one replaced, which keyed every subshape's tuple in a dict, is the whole
+their per-shape definition and their oracle in the tests; a builder that
+looks every step's source up in a dict keyed by part tuples is the whole
 lattice's oracle there.
 """
 
