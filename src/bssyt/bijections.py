@@ -29,9 +29,10 @@ neighbour rows, and the total is compared with count_bssyt.  The walk over
 enumerate_bssyt is its oracle in the tests.
 """
 
-from itertools import compress
+from itertools import accumulate, compress, repeat
+from operator import gt
 
-from .lattice import subshape_lattice, zeta
+from .lattice import subshape_lattice, subshapes, zeta
 from .reports import Record, VerificationReport
 from .shapes import Cell, Partition
 from .tableaux import count_bssyt, require_bound, rpp_unchecked, svt_unchecked
@@ -244,6 +245,38 @@ def outside_to_bssyt(triple):
     return _joined(triple, _outside_join)
 
 
+def _row_chains(shapes, tails, k):
+    """Per subshape n of the box k^w and column c where its row c is longer
+    than row c + 1: the ranks of n with row c lowered step by step to 0, each
+    time clamping the rows below to it, and with row c raised step by step
+    to k, each time lifting the rows above to it.
+
+    By the lattice module's rank formula, moving a row j from v to v + 1
+    moves the rank by T_{j+1}(v), so each step moves it by a difference of
+    the running sums steps[v][j] of T_{j'+1}(v) over the rows j' < j.  A
+    step at v moves the rows longer than v from row c down, or the rows up
+    to row c that are not longer than v.
+    """
+    w = len(tails) - 1
+    steps = [list(accumulate((tails[j + 1][v] for j in range(w)), initial=0)) for v in range(k)]
+    chains = []
+    for n, mu in enumerate(shapes):
+        longer = [sum(map(gt, mu, repeat(v))) for v in range(k)]
+        per_column = [None] * w
+        for c, m in enumerate(mu):
+            if m == (mu[c + 1] if c + 1 < w else 0):
+                continue
+            lowered = [n]
+            for v in reversed(range(m)):
+                lowered.append(lowered[-1] - steps[v][longer[v]] + steps[v][c])
+            lifted = [n]
+            for v in range(m, k):
+                lifted.append(lifted[-1] + steps[v][c + 1] - steps[v][longer[v]])
+            per_column[c] = lowered, lifted
+        chains.append(per_column)
+    return chains
+
+
 def verify_roundtrip(lam, k):
     """Both representations must invert on every barely set-valued tableau.
 
@@ -265,14 +298,15 @@ def verify_roundtrip(lam, k):
     """
     require_bound(k)
     parts = lam.parts
-    box = subshape_lattice(Partition((k,) * max(parts, default=0)))
-    size = len(box.shapes)
+    box = Partition((k,) * max(parts, default=0))
+    lattice, shapes = subshape_lattice(box), subshapes(box)
+    size = lattice.size
     # rows[t][n]: the shifted row of row t that subshape n stands for; rows
     # 0 and len(parts) + 1 are empty, so they fit next to every row
-    rows = [[tuple([k - x for x in mu[:width]]) for mu in box.shapes] for width in (0, *parts, 0)]
+    rows = [[tuple([k - x for x in mu[:width]]) for mu in shapes] for width in (0, *parts, 0)]
     fits, survives = {}, {}  # per subshape: is it a row of row t, and one that survives
     for t, width in enumerate(parts, start=1):
-        fits[t] = [not any(mu[width:]) for mu in box.shapes]
+        fits[t] = [not any(mu[width:]) for mu in shapes]
         cells = [tuple([(v + t,) for v in row]) for row in rows[t]]
         survives[t] = [f and _join_row(_shift_row(T, t), t) == T for f, T in zip(fits[t], cells)]
 
@@ -283,24 +317,13 @@ def verify_roundtrip(lam, k):
         reach = {}
         for t in levels:
             reach[t] = total, ok
-            total = zeta([n if f else 0 for n, f in zip(total, fits[t])], box, up)
-            ok = zeta([n if f else 0 for n, f in zip(ok, survives[t])], box, up)
+            total = zeta([n if f else 0 for n, f in zip(total, fits[t])], lattice, up)
+            ok = zeta([n if f else 0 for n, f in zip(ok, survives[t])], lattice, up)
         return reach
 
     above = transfer(range(1, len(parts) + 1), up=True)
     below = transfer(range(len(parts), 0, -1), up=False)
-    lifts = box.up  # lifts[c][n]: n less the source of its up step in row c
-    clamps = box.down[::-1]  # clamps[c][n]: that of its down step
-
-    def chain(n, offsets):
-        # n and its steps in one row, to the end: each subshape's principal
-        # set holds the next one's, and the difference is the subshapes
-        # whose entry in that row is the first one's
-        out = [n]
-        while offsets[n]:
-            n -= offsets[n]
-            out.append(n)
-        return out
+    chains = _row_chains(shapes, lattice.tails, k)
 
     def classes(values, path, t):
         # the rows of row t split by their entry in the column of a chain's
@@ -318,8 +341,8 @@ def verify_roundtrip(lam, k):
                 gaps = (row[c + 1] if c + 1 < width else k) - a
                 if not gaps:
                     continue
-                downs = chain(n, clamps[c])
-                uppers = classes(up_ok, chain(n, lifts[c]), r - 1)
+                downs, lifts = chains[n][c]
+                uppers = classes(up_ok, lifts, r - 1)
                 for gap in range(1, gaps + 1):
                     held_n = downs[gap]  # D less a
                     cells = [(v + r,) for v in row]

@@ -14,13 +14,14 @@ numbers of such fillings of mu and of lam/mu with entries in [0, j],
     H(mu) = sum over i = 1..k of A_{i-1}(mu) * B_{k-i}(mu),
 
 zeta transforms down and up J(lam), the lattice of subshapes of lam.  Each
-transform runs one row at a time, one addition per subshape per row (see
-the lattice module).  The pair walk over enumerate_rpp stays in the tests as
+transform takes the cells of lam one at a time, one addition per cover of
+J(lam) (see the lattice module).  The pair walk over enumerate_rpp stays in the tests as
 the histogram's oracle.  Every ensemble claim here is a sum over the
 histogram's subshapes.  The corner double sums, the per-cell toggle sums
-and the expected jaggedness come from one pass over the cover rows of
-J(lam), the rows where mu has a corner or a proper outside corner, that
-adds H(mu) to the cell toggled, without building a shape per subshape.
+and the expected jaggedness come from one pass over the covers of J(lam),
+grouped by the cell they remove or add, that sums H over the subshapes of
+which each cell is a corner or a proper outside corner, without building a
+shape per subshape.
 verify_weak_expectation_by_subshape walks every
 subshape and measures its jaggedness from shapes instead, as the
 independent route to the same expectation.  All probabilities and
@@ -31,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import add, mul
 
-from .lattice import subshape_lattice, zeta
+from .lattice import subshape_lattice, subshapes, zeta
 from .reports import VerificationReport, require_balanced
 from .shapes import (
     all_subshapes,
@@ -66,17 +67,17 @@ __all__ = [
 
 
 def _histogram(lam, k):
-    """J(lam), and H(mu) for every subshape as a list aligned with its shapes."""
+    """J(lam), and H(mu) for every subshape as a list indexed by rank."""
     require_bound(k)
     lattice = subshape_lattice(lam)
-    A = [[1] * len(lattice.shapes)]
+    A = [[1] * lattice.size]
     B = [A[0]]
     for _ in range(k - 1):
         A.append(zeta(A[-1], lattice))
         B.append(zeta(B[-1], lattice, up=True))
     # per subshape, the dot product of (A_0 .. A_{k-1}) with (B_{k-1} .. B_0);
     # each pair of transforms is dropped once it is added in
-    H = [0] * len(lattice.shapes)
+    H = [0] * lattice.size
     while A:
         H = list(map(add, H, map(mul, A.pop(), B.pop(0))))
     return lattice, H
@@ -88,26 +89,22 @@ def weak_histogram(lam, k):
     Keys are the part tuples of the subshapes of lam, each with a positive
     count; the counts add up to the ensemble size k * |RPP(lam, k)|.
     """
-    lattice, H = _histogram(lam, k)
-    return Counter({tuple(p for p in mu if p): n for mu, n in zip(lattice.shapes, H)})
+    _, H = _histogram(lam, k)
+    return Counter({tuple(p for p in mu if p): n for mu, n in zip(subshapes(lam), H)})
 
 
 def _toggle_sums(lam, k):
     """(pair count, toggle-ins, toggle-outs) over the ensemble, in one pass
-    over the cover rows of J(lam).
+    over the covers of J(lam).
 
     ins[i][j] and outs[i][j] add H(mu) over the subshapes mu of which the
-    cell (i + 1, j), 1-based, is a proper outside corner, or a corner.
+    cell (i + 1, j), 1-based, is a proper outside corner, or a corner: the
+    targets of that cell's up covers, or of its down covers.
     """
     lattice, H = _histogram(lam, k)
-    shapes = lattice.shapes
-    ins = [[0] * (width + 1) for width in lam.parts]
-    outs = [[0] * (width + 1) for width in lam.parts]
-    for i, (removable, addable) in enumerate(zip(lattice.corners, lattice.outside)):
-        for n in removable:
-            outs[i][shapes[n][i]] += H[n]
-        for n in addable:
-            ins[i][shapes[n][i] + 1] += H[n]
+    at = H.__getitem__
+    ins = [[0] + [sum(map(at, targets)) for _, targets in row] for row in lattice.up]
+    outs = [[0] + [sum(map(at, targets)) for _, targets in row] for row in lattice.down]
     return sum(H), ins, outs
 
 

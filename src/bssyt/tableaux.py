@@ -429,7 +429,7 @@ def count_rpp(shape, k):
     """
     require_bound(k)
     lattice = subshape_lattice(shape)
-    values = [1] * len(lattice.shapes)
+    values = [1] * lattice.size
     for _ in range(k):
         values = zeta(values, lattice)
     return values[-1]

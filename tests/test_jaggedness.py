@@ -16,7 +16,7 @@ from bssyt.jaggedness import (
     weak_histogram,
     weak_probability,
 )
-from bssyt.lattice import subshape_lattice
+from bssyt.lattice import subshape_lattice, subshapes
 from bssyt.reports import VerificationReport
 from bssyt.shapes import (
     Cell,
@@ -142,17 +142,23 @@ def test_toggle_symmetry_full_grid():
             assert report.equal
 
 
-def _cover_cells(lattice):
-    """Per subshape index: its corner cells and its proper outside corner cells."""
-    corner_cells = {n: [] for n in range(len(lattice.shapes))}
-    outside_cells = {n: [] for n in range(len(lattice.shapes))}
-    for i, row in enumerate(lattice.corners):
-        for n in row:
-            corner_cells[n].append((i + 1, lattice.shapes[n][i]))
-    for i, row in enumerate(lattice.outside):
-        for n in row:
-            outside_cells[n].append((i + 1, lattice.shapes[n][i] + 1))
-    return corner_cells, outside_cells
+def _cover_cells(lam):
+    """Per subshape index: its corner cells and its proper outside corner
+    cells, read off the targets of each cell's covers, with every cover's
+    source checked to be the subshape less the cell, or with it."""
+    lattice, shapes = subshape_lattice(lam), subshapes(lam)
+    corner_cells = {n: [] for n in range(lattice.size)}
+    outside_cells = {n: [] for n in range(lattice.size)}
+    for i, (lowered, raised) in enumerate(zip(lattice.down, lattice.up)):
+        for m, (offset, targets) in enumerate(lowered, start=1):
+            for n in targets:
+                corner_cells[n].append((i + 1, m))
+                assert shapes[n - offset] == shapes[n][:i] + (m - 1,) + shapes[n][i + 1 :]
+        for m, (offset, targets) in enumerate(raised):
+            for n in targets:
+                outside_cells[n].append((i + 1, m + 1))
+                assert shapes[n + offset] == shapes[n][:i] + (m + 1,) + shapes[n][i + 1 :]
+    return shapes, corner_cells, outside_cells
 
 
 _BOX_SUBSHAPES = [lam for box in (P((4, 4, 4)), P((3, 3, 3, 3))) for lam in all_subshapes(box)]
@@ -160,10 +166,9 @@ _BOX_SUBSHAPES = [lam for box in (P((4, 4, 4)), P((3, 3, 3, 3))) for lam in all_
 
 def test_cover_rows_against_shapes():
     for lam in _BOX_SUBSHAPES + [P((6, 6, 3, 3)), P((5, 3, 1))]:
-        lattice = subshape_lattice(lam)
-        assert [P(mu) for mu in lattice.shapes] == list(all_subshapes(lam))
-        corner_cells, outside_cells = _cover_cells(lattice)
-        for n, parts in enumerate(lattice.shapes):
+        shapes, corner_cells, outside_cells = _cover_cells(lam)
+        assert [P(mu) for mu in shapes] == list(all_subshapes(lam))
+        for n, parts in enumerate(shapes):
             mu = P(parts)
             assert corner_cells[n] == [tuple(c) for c in corners(mu)], (lam, mu)
             assert outside_cells[n] == [
@@ -201,11 +206,12 @@ def test_cover_sums_against_subshape_walk():
 
 @pytest.mark.parametrize("covers", ["corners", "outside"])
 def test_double_sums_see_a_dropped_cover(monkeypatch, covers):
-    # a lattice that loses one cover row of one subshape undercounts one sum
+    # a lattice whose last cell loses one target undercounts one sum
     def dropped(lam):
         lattice = subshape_lattice(lam)
-        rows = getattr(lattice, covers)
-        rows[-1] = rows[-1][1:]
+        row = (lattice.down if covers == "corners" else lattice.up)[-1]
+        offset, targets = row[-1]
+        row[-1] = offset, targets[1:]
         return lattice
 
     monkeypatch.setattr(bssyt.jaggedness, "subshape_lattice", dropped)
