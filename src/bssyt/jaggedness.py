@@ -15,16 +15,15 @@ numbers of such fillings of mu and of lam/mu with entries in [0, j],
 
 zeta transforms down and up J(lam), the lattice of subshapes of lam.  Each
 transform takes the cells of lam one at a time, one addition per cover of
-J(lam) (see the lattice module).  The pair walk over enumerate_rpp stays in the tests as
-the histogram's oracle.  Every ensemble claim here is a sum over the
-histogram's subshapes.  The corner double sums, the per-cell toggle sums
-and the expected jaggedness come from one pass over the covers of J(lam),
-grouped by the cell they remove or add, that sums H over the subshapes of
-which each cell is a corner or a proper outside corner, without building a
-shape per subshape.
-verify_weak_expectation_by_subshape walks every
-subshape and measures its jaggedness from shapes instead, as the
-independent route to the same expectation.  All probabilities and
+J(lam) (see the lattice module).  The pair walk over enumerate_rpp stays
+in the tests as the histogram's oracle.  Every ensemble claim here is a sum
+over the histogram's subshapes.  The corner double sums, the per-cell
+toggle sums and the expected jaggedness come from one pass over the covers
+of J(lam), grouped by the cell they remove or add, that sums H over the
+subshapes of which each cell is a corner or a proper outside corner,
+without building a shape per subshape.  verify_weak_expectation_by_subshape
+walks every subshape and measures its jaggedness from shapes instead, as
+the independent route to the same expectation.  All probabilities and
 expectations are exact rationals; nothing is sampled.
 """
 

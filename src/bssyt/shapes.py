@@ -8,8 +8,8 @@ cell below column 1) are always generated and then filtered by membership
 in the ambient shape.  The lists `corners` and `proper_outside_corners` are
 the per-shape definitions of the two cell sets: the corner counts, the
 jaggedness and the toggle tests here are all read off them, and they are
-the oracle of the cover rows from which the lattice module reads the same
-cells for every subshape at once.  Everything here
+the oracle of the covers, grouped by cell, from which the lattice module
+reads the same cells for every subshape at once.  Everything here
 is integer arithmetic: the balanced test cross-multiplies instead of
 comparing slopes, so there is no tolerance anywhere.
 """

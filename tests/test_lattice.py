@@ -150,7 +150,8 @@ def test_zeta_matches_brute_force(parts):
     _assert_matches_oracle(P(sorted(parts, reverse=True)), brute=True)
 
 
-_SMALL_BOX_SUBSHAPES = [mu for box in (P((4,) * 4), P((5,) * 3), P((3,) * 5)) for mu in all_subshapes(box)]
+_SMALL_BOXES = (P((4,) * 4), P((5,) * 3), P((3,) * 5))
+_SMALL_BOX_SUBSHAPES = [mu for box in _SMALL_BOXES for mu in all_subshapes(box)]
 
 
 def test_zeta_against_brute_force():
