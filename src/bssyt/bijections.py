@@ -35,7 +35,7 @@ from operator import gt
 from .lattice import subshape_lattice, subshapes, zeta
 from .reports import Record, VerificationReport
 from .shapes import Cell, Partition
-from .tableaux import count_bssyt, require_bound, rpp_unchecked, svt_unchecked
+from .tableaux import ReversePlanePartition, SetValuedTableau, count_bssyt, require_bound
 
 # Not called here; the benchmark's tracer wraps this name in this module's
 # namespace, and reports its metrics as absent if it is missing.
@@ -57,16 +57,29 @@ _NOT_BARELY = "input must be barely set-valued: exactly one doubled cell"
 
 class _Triple(Record):
     """Reverse plane partition, level, and a designated cell; immutable, and
-    checked at construction by the subclass's _check."""
+    checked at construction: int level and cell, the cell in the shape, and
+    the subclass's _test on its row and the row _side away (1 below, -1
+    above; empty if none), which calls the row test the maps use."""
 
     __slots__ = _fields = ("rpp", "level", "cell")
 
     def __init__(self, rpp, level, cell):
-        self._check(rpp, level, cell)
+        r, c = cell
+        if {type(level), type(r), type(c)} != {int}:  # bools rejected too
+            raise ValueError(f"level and cell must be integers, got {level!r} and {cell!r}")
+        rows = ((), *rpp.rows, ())
+        if not (
+            rpp.shape.contains_cell((r, c))
+            and self._test(rows[r], rows[r + self._side], c - 1, level, rpp.k)
+        ):
+            raise ValueError(
+                f"{(r, c)} is not a {self._kind} of the level-{level} subshape, "
+                f"level in [1, {rpp.k}]"
+            )
         set_field = object.__setattr__
         set_field(self, "rpp", rpp)
         set_field(self, "level", level)
-        set_field(self, "cell", cell)
+        set_field(self, "cell", Cell(r, c))
 
 
 class CornerTriple(_Triple):
@@ -74,18 +87,11 @@ class CornerTriple(_Triple):
     level-induced subshape."""
 
     __slots__ = ()
+    _kind, _side = "corner", 1
 
     @staticmethod
-    def _check(P, i, cell):
-        r, c = cell
-        rows = P.rows
-        if not (
-            P.shape.contains_cell((r, c))
-            and _is_corner(rows[r - 1], rows[r] if r < len(rows) else (), c - 1, i, P.k)
-        ):
-            raise ValueError(
-                f"{tuple(cell)} is not a corner of the level-{i} subshape, level in [1, {P.k}]"
-            )
+    def _test(row, below, c, level, k):
+        return _is_corner(row, below, c, level, k)
 
 
 class OutsideTriple(_Triple):
@@ -93,19 +99,11 @@ class OutsideTriple(_Triple):
     of the level-induced subshape."""
 
     __slots__ = ()
+    _kind, _side = "proper outside corner", -1
 
     @staticmethod
-    def _check(Q, j, cell):
-        r, c = cell
-        rows = Q.rows
-        if not (
-            Q.shape.contains_cell((r, c))
-            and _is_outside_corner(rows[r - 1], rows[r - 2] if r > 1 else (), c - 1, j, Q.k)
-        ):
-            raise ValueError(
-                f"{tuple(cell)} is not a proper outside corner of the level-{j} subshape, "
-                f"level in [1, {Q.k}]"
-            )
+    def _test(row, above, c, level, k):
+        return _is_outside_corner(row, above, c, level, k)
 
 
 def _shift_row(row, t):
@@ -194,13 +192,22 @@ def _shifted(T):
     return rows, doubled
 
 
+def _split(T, split_doubled, triple_type):
+    """Shift row t of T down by t, split the doubled cell's row with
+    split_doubled, and designate that cell at the level it gives."""
+    rows, (t0, j0) = _shifted(T)
+    rows[t0], level = split_doubled(T.rows[t0], t0 + 1, j0)
+    rpp = ReversePlanePartition.unchecked(T.shape, tuple(rows), T.k)
+    return triple_type(rpp, level, (t0 + 1, j0 + 1))
+
+
 def _joined(triple, join_doubled):
     """Shift row t of the triple's RPP up by t, and join the level back
     into the designated cell's row with join_doubled."""
     P, (r, c) = triple.rpp, triple.cell
     rows = [_join_row(row, t) for t, row in enumerate(P.rows, start=1)]
     rows[r - 1] = join_doubled(P.rows[r - 1], r, c - 1, triple.level)
-    return svt_unchecked(P.shape, tuple(rows), P.k)
+    return SetValuedTableau.unchecked(P.shape, tuple(rows), P.k)
 
 
 def bssyt_to_corner(T):
@@ -211,10 +218,7 @@ def bssyt_to_corner(T):
     entry a - r lies below the level, while the cells right of and below it
     hold entries at least b - r.
     """
-    rows, (t0, j0) = _shifted(T)
-    rows[t0], level = _corner_split(T.rows[t0], t0 + 1, j0)
-    P = rpp_unchecked(T.shape, tuple(rows), T.k)
-    return CornerTriple(P, level, Cell(t0 + 1, j0 + 1))
+    return _split(T, _corner_split, CornerTriple)
 
 
 def corner_to_bssyt(triple):
@@ -234,10 +238,7 @@ def bssyt_to_outside(T):
     subshape: its remaining entry b - r is at least j, while the cells above
     and to the left hold entries at most a - r < j.
     """
-    rows, (t0, j0) = _shifted(T)
-    rows[t0], level = _outside_split(T.rows[t0], t0 + 1, j0)
-    Q = rpp_unchecked(T.shape, tuple(rows), T.k)
-    return OutsideTriple(Q, level, Cell(t0 + 1, j0 + 1))
+    return _split(T, _outside_split, OutsideTriple)
 
 
 def outside_to_bssyt(triple):

@@ -53,9 +53,10 @@ _DP_METHOD = "bruhat-pruned-dp"
 
 
 def permutation(values):
-    """Validate and return one-line notation as a tuple."""
+    """Validate and return one-line notation as a tuple of ints (bools rejected)."""
     w = tuple(values)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    integers = not any(isinstance(v, bool) or not isinstance(v, int) for v in w)
+    if not integers or sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"{w!r} is not a permutation of 1..{len(w)}")
     return w
 
@@ -235,10 +236,7 @@ def fk_polynomial_bruteforce(w, ell):
     n = len(w)
     total = IntPolynomial.zero()
     for word in itertools.product(range(1, n), repeat=ell):
-        u = identity(n)
-        for i in word:
-            u = demazure_step(u, i)
-        if u == w:
+        if hecke_product(word, n) == w:
             product = IntPolynomial.one()
             for i in word:
                 product = product * IntPolynomial.linear(i)

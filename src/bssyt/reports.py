@@ -3,12 +3,13 @@
 Every checked claim in the package ends as a VerificationReport; exact
 values (Fractions, integer polynomials, partitions, cells) are lowered to
 strings or integers only when the report is serialized.  Record, the
-immutable base of the reports and of the bijection triples, is written out
-by hand: the dataclasses module would pull inspect, ast, dis and tokenize
-into every import of the package.
+immutable base of the reports, of the bijection triples and of the tableau
+fillings, is written out by hand: the dataclasses module would pull inspect,
+ast, dis and tokenize into every import of the package.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .exactmath import IntPolynomial
 from .shapes import Cell, NotBalancedError, Partition, is_balanced
@@ -52,8 +53,9 @@ class Record:
     __slots__ = ()
     _fields = ()
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls):
+        # the field values as one tuple, read in C; _fields names two or more
+        cls._values = property(attrgetter(*cls._fields))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -64,14 +66,14 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which a subclass may check
-        return type(self), self._values()
+        return type(self), self._values
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

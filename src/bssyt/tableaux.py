@@ -25,6 +25,7 @@ from math import comb
 
 from .exactmath import determinant
 from .lattice import subshape_lattice, zeta
+from .reports import Record
 from .shapes import Partition
 
 __all__ = [
@@ -69,71 +70,53 @@ def _split_top_level(text):
     return cells
 
 
-class SetValuedTableau:
-    """Shape, one sorted integer set per cell, and the flag bound k.
+class _Filling(Record):
+    """Shape, one cell per square of the shape, and the bound k; immutable.
 
-    Cells are stored as sorted tuples of distinct ints; rows is a tuple of
-    row tuples matching the shape.  Construction validates everything; the
-    enumerators and bijections build through svt_unchecked instead, because
-    their outputs are valid by construction.
+    Construction normalises every cell and validates everything; the
+    enumerators and bijections build through unchecked instead, because
+    their outputs are valid by construction.  A subclass names its cell
+    normalisation, its cell rule against the left and upper neighbours, and
+    the text of one cell.
     """
 
-    __slots__ = ("shape", "rows", "k")
+    __slots__ = _fields = ("shape", "rows", "k")
 
     def __init__(self, shape, rows, k):
-        normalized = []
-        for row in rows:
-            cells = []
-            for cell in row:
-                values = tuple(sorted(cell))
-                if len(set(values)) != len(values):
-                    raise ValueError(f"repeated entry in cell {cell!r}")
-                cells.append(values)
-            normalized.append(tuple(cells))
-        self.shape = shape
-        self.rows = tuple(normalized)
-        self.k = k
+        set_field = object.__setattr__
+        set_field(self, "shape", shape)
+        set_field(self, "rows", tuple(tuple(map(self._normalized, row)) for row in rows))
+        set_field(self, "k", k)
         self.validate()
+
+    @classmethod
+    def unchecked(cls, shape, rows, k):
+        """A filling built without validation; rows must be valid and normalised."""
+        filling = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(filling, "shape", shape)
+        set_field(filling, "rows", rows)
+        set_field(filling, "k", k)
+        return filling
 
     def validate(self):
         """Re-check every invariant; raises ValueError on the first failure."""
         require_bound(self.k)
         if len(self.rows) != self.shape.rows:
             raise ValueError("row count does not match the shape")
+        above = ()
         for t, (row, width) in enumerate(zip(self.rows, self.shape.parts), start=1):
             if len(row) != width:
                 raise ValueError(f"row {t} does not match the shape")
             for j, cell in enumerate(row, start=1):
-                if not cell:
-                    raise ValueError(f"empty cell at ({t}, {j})")
-                if any(isinstance(v, bool) or not isinstance(v, int) for v in cell):
-                    raise ValueError(f"non-integer entry at ({t}, {j})")
-                if any(cell[m] >= cell[m + 1] for m in range(len(cell) - 1)):
-                    raise ValueError(f"cell at ({t}, {j}) is not a sorted set")
-                if cell[0] < 1:
-                    raise ValueError(f"entry below 1 at ({t}, {j})")
-                if cell[-1] > self.k + t:
-                    raise ValueError(
-                        f"entry {cell[-1]} at ({t}, {j}) exceeds the row flag {self.k + t}"
-                    )
-                if j > 1 and row[j - 2][-1] > cell[0]:
-                    raise ValueError(f"row {t} is not weakly increasing at column {j}")
-                if t > 1 and self.rows[t - 2][j - 1][-1] >= cell[0]:
-                    raise ValueError(f"column {j} is not strictly increasing at row {t}")
-
-    def entry(self, row, col):
-        """The sorted entry set at the 1-based (row, col)."""
-        return self.rows[row - 1][col - 1]
+                left = row[j - 2] if j > 1 else None
+                up = above[j - 1] if t > 1 else None
+                self._check_cell(cell, left, up, t, j)
+            above = row
 
     def serialize(self):
-        """Rows joined by "/", cells by ","; multi-entry cells braced, e.g. "{2,4}"."""
-        return "/".join(
-            ",".join(
-                str(cell[0]) if len(cell) == 1 else "{" + ",".join(map(str, cell)) + "}"
-                for cell in row
-            )
-            for row in self.rows
-        )
+        """Rows joined by "/", cells by ","."""
+        return "/".join(",".join(map(self._cell_text, row)) for row in self.rows)
 
     @classmethod
     def parse(cls, text, k):
@@ -141,102 +124,75 @@ class SetValuedTableau:
         text = text.strip()
         if not text:
             return cls(Partition(), (), k)
-        rows = []
-        for row_text in text.split("/"):
-            cells = []
-            for token in _split_top_level(row_text):
-                token = token.strip()
-                if token.startswith("{") and token.endswith("}"):
-                    cells.append(tuple(int(v) for v in token[1:-1].split(",")))
-                else:
-                    cells.append((int(token),))
-            rows.append(tuple(cells))
-        shape = Partition(len(row) for row in rows)
-        return cls(shape, tuple(rows), k)
-
-    def __eq__(self, other):
-        if not isinstance(other, SetValuedTableau):
-            return NotImplemented
-        return (self.shape, self.rows, self.k) == (other.shape, other.rows, other.k)
-
-    def __hash__(self):
-        return hash((self.shape, self.rows, self.k))
+        rows = tuple(
+            tuple(cls._read_cell(token.strip()) for token in _split_top_level(row_text))
+            for row_text in text.split("/")
+        )
+        return cls(Partition(len(row) for row in rows), rows, k)
 
     def __repr__(self):
-        return f"SetValuedTableau({self.serialize()!r}, k={self.k})"
+        return f"{type(self).__name__}({self.serialize()!r}, k={self.k})"
 
 
-class ReversePlanePartition:
+class SetValuedTableau(_Filling):
+    """Shape, one sorted integer set per cell, and the flag bound k.
+
+    Cells are stored as sorted tuples of distinct ints, written as a bare
+    int when single and braced when not, e.g. "{2,4}".
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _normalized(cell):
+        values = tuple(sorted(cell))
+        if len(set(values)) != len(values):
+            raise ValueError(f"repeated entry in cell {cell!r}")
+        return values
+
+    def _check_cell(self, cell, left, up, t, j):
+        if not cell:
+            raise ValueError(f"empty cell at ({t}, {j})")
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in cell):
+            raise ValueError(f"non-integer entry at ({t}, {j})")
+        if any(cell[m] >= cell[m + 1] for m in range(len(cell) - 1)):
+            raise ValueError(f"cell at ({t}, {j}) is not a sorted set")
+        if cell[0] < 1:
+            raise ValueError(f"entry below 1 at ({t}, {j})")
+        if cell[-1] > self.k + t:
+            raise ValueError(f"entry {cell[-1]} at ({t}, {j}) exceeds the row flag {self.k + t}")
+        if left is not None and left[-1] > cell[0]:
+            raise ValueError(f"row {t} is not weakly increasing at column {j}")
+        if up is not None and up[-1] >= cell[0]:
+            raise ValueError(f"column {j} is not strictly increasing at row {t}")
+
+    @staticmethod
+    def _cell_text(cell):
+        return str(cell[0]) if len(cell) == 1 else "{" + ",".join(map(str, cell)) + "}"
+
+    @staticmethod
+    def _read_cell(token):
+        if token.startswith("{") and token.endswith("}"):
+            return tuple(int(v) for v in token[1:-1].split(","))
+        return (int(token),)
+
+
+class ReversePlanePartition(_Filling):
     """Shape, one entry in [0, k] per cell, rows and columns weakly increasing."""
 
-    __slots__ = ("shape", "rows", "k")
+    __slots__ = ()
 
-    def __init__(self, shape, rows, k):
-        self.shape = shape
-        self.rows = tuple(tuple(row) for row in rows)
-        self.k = k
-        self.validate()
+    _normalized = staticmethod(lambda v: v)
+    _cell_text = staticmethod(str)
+    _read_cell = staticmethod(int)
 
-    def validate(self):
-        require_bound(self.k)
-        if len(self.rows) != self.shape.rows:
-            raise ValueError("row count does not match the shape")
-        for t, (row, width) in enumerate(zip(self.rows, self.shape.parts), start=1):
-            if len(row) != width:
-                raise ValueError(f"row {t} does not match the shape")
-            for j, v in enumerate(row, start=1):
-                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= self.k:
-                    raise ValueError(f"entry {v!r} at ({t}, {j}) outside [0, {self.k}]")
-                if j > 1 and row[j - 2] > v:
-                    raise ValueError(f"row {t} is not weakly increasing at column {j}")
-                if t > 1 and self.rows[t - 2][j - 1] > v:
-                    raise ValueError(f"column {j} is not weakly increasing at row {t}")
-
-    def entry(self, row, col):
-        return self.rows[row - 1][col - 1]
-
-    def serialize(self):
-        return "/".join(",".join(str(v) for v in row) for row in self.rows)
-
-    @classmethod
-    def parse(cls, text, k):
-        text = text.strip()
-        if not text:
-            return cls(Partition(), (), k)
-        rows = tuple(
-            tuple(int(v) for v in row_text.split(",")) for row_text in text.split("/")
-        )
-        shape = Partition(len(row) for row in rows)
-        return cls(shape, rows, k)
-
-    def __eq__(self, other):
-        if not isinstance(other, ReversePlanePartition):
-            return NotImplemented
-        return (self.shape, self.rows, self.k) == (other.shape, other.rows, other.k)
-
-    def __hash__(self):
-        return hash((self.shape, self.rows, self.k))
-
-    def __repr__(self):
-        return f"ReversePlanePartition({self.serialize()!r}, k={self.k})"
-
-
-def svt_unchecked(shape, rows, k):
-    """A SetValuedTableau built without validation; rows must be valid already."""
-    t = object.__new__(SetValuedTableau)
-    t.shape = shape
-    t.rows = rows
-    t.k = k
-    return t
-
-
-def rpp_unchecked(shape, rows, k):
-    """A ReversePlanePartition built without validation; rows must be valid already."""
-    p = object.__new__(ReversePlanePartition)
-    p.shape = shape
-    p.rows = rows
-    p.k = k
-    return p
+    def _check_cell(self, v, left, up, t, j):
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= self.k:
+            raise ValueError(f"entry {v!r} at ({t}, {j}) outside [0, {self.k}]")
+        if left is not None and left > v:
+            raise ValueError(f"row {t} is not weakly increasing at column {j}")
+        if up is not None and up > v:
+            raise ValueError(f"column {j} is not weakly increasing at row {t}")
 
 
 def classify(T):
@@ -330,7 +286,7 @@ def enumerate_ssyt(shape, k):
     """All flagged semistandard tableaux of the shape, lexicographic order."""
     require_bound(k)
     for rows in _setvalued_grids(shape, k, None):
-        yield svt_unchecked(shape, rows, k)
+        yield SetValuedTableau.unchecked(shape, rows, k)
 
 
 def _one_row_ssyt(m, f):
@@ -399,7 +355,7 @@ def enumerate_bssyt(shape, k):
     for t in range(shape.rows):
         for j in range(shape.parts[t]):
             for rows in _setvalued_grids(shape, k, (t, j)):
-                yield svt_unchecked(shape, rows, k)
+                yield SetValuedTableau.unchecked(shape, rows, k)
 
 
 def count_bssyt(shape, k):
@@ -417,7 +373,7 @@ def enumerate_rpp(shape, k):
     """All reverse plane partitions of the shape with entries at most k."""
     require_bound(k)
     for rows in _rpp_grids(shape, k):
-        yield rpp_unchecked(shape, rows, k)
+        yield ReversePlanePartition.unchecked(shape, rows, k)
 
 
 def count_rpp(shape, k):
@@ -440,7 +396,7 @@ def rpp_to_ssyt(P):
     rows = tuple(
         tuple((v + t,) for v in row) for t, row in enumerate(P.rows, start=1)
     )
-    return svt_unchecked(P.shape, rows, P.k)
+    return SetValuedTableau.unchecked(P.shape, rows, P.k)
 
 
 def ssyt_to_rpp(T):
@@ -463,8 +419,8 @@ def induced_subshape(P, i):
     prefixes, and columns weakly increase, so the prefix lengths weakly
     decrease.
     """
-    if not 1 <= i <= P.k:
-        raise ValueError(f"level {i} outside [1, {P.k}]")
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= P.k:
+        raise ValueError(f"level {i!r} outside [1, {P.k}]")
     counts = []
     for row in P.rows:
         c = bisect_left(row, i)

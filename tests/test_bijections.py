@@ -116,6 +116,24 @@ def test_triples_are_immutable_values():
         corner.extra = 0
 
 
+def test_triples_reject_non_int_levels_and_cells():
+    rpp = ReversePlanePartition.parse("0,0/1", k=1)
+    for triple_type, cell in ((CornerTriple, (1, 2)), (OutsideTriple, (2, 1))):
+        for level, bad_cell in (
+            (True, cell),
+            (1.0, cell),
+            (1, (True, cell[1])),
+            (1, (cell[0], True)),
+            (1, (float(cell[0]), cell[1])),
+            (1, ("1", cell[1])),
+        ):
+            with pytest.raises(ValueError):
+                triple_type(rpp, level, bad_cell)
+        triple = triple_type(rpp, 1, cell)
+        assert type(triple.cell) is Cell and triple.cell == Cell(*cell)
+        assert triple == triple_type(rpp, 1, Cell(*cell))
+
+
 def _accepts(triple_type, rpp, level, cell):
     try:
         triple_type(rpp, level, cell)

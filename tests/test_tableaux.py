@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,9 @@ def test_induced_subshape_examples():
         induced_subshape(corner_side, 0)
     with pytest.raises(ValueError):
         induced_subshape(corner_side, 3)
+    for level in (True, 1.0):
+        with pytest.raises(ValueError):
+            induced_subshape(corner_side, level)
 
 
 def test_induced_subshape_monotone_in_level():
@@ -325,3 +329,21 @@ def test_tableau_equality_includes_bound():
     a = SetValuedTableau.parse("1", k=1)
     b = SetValuedTableau.parse("1", k=2)
     assert a != b
+
+
+def test_fillings_are_immutable_values():
+    T = SetValuedTableau.parse(WORKED_BSSYT, k=2)
+    R = ReversePlanePartition.parse("0,0/1", k=1)
+    for filling in (T, R):
+        for name in ("rows", "shape", "k"):
+            with pytest.raises(AttributeError):
+                setattr(filling, name, getattr(filling, name))
+            with pytest.raises(AttributeError):
+                delattr(filling, name)
+        copy = pickle.loads(pickle.dumps(filling))
+        assert copy == filling and hash(copy) == hash(filling)
+        assert filling != (filling.shape, filling.rows, filling.k)
+    assert ReversePlanePartition(P((1,)), ((0,),), 1) != SetValuedTableau(P((1,)), (((1,),),), 1)
+    assert repr(T) == "SetValuedTableau('1,1,2,2/{2,4},4,4,4/5,5/6', k=2)"
+    assert repr(R) == "ReversePlanePartition('0,0/1', k=1)"
+    assert repr(SetValuedTableau.parse("", k=1)) == "SetValuedTableau('', k=1)"
