@@ -5,15 +5,19 @@ codes: 0 every checked identity holds, 1 a checked identity fails, 2
 invalid input (including balanced-only claims on unbalanced shapes), 3 a
 run refused up front by --limit.
 
-Each command's arguments are one table in `_COMMANDS`: (name, keyword
-arguments) pairs, the keyword arguments being those of `add_argument`.
-A well-formed command line (a known command, its positionals, exact long
-flags each followed by one value not beginning with "-", every value of its
-declared type and choices, every required flag present) is read from that
-table straight into the Namespace argparse would give, without building a
-parser (`_read_args`).  Anything else goes to `build_parser()`, the full
-parser built from the same table, so help, usage and error text and exit
-codes are argparse's own.
+The CLI is driven by two tables.  `CLAIMS` has one row per `verify` claim:
+the module and name of the library call that checks it, the argument
+reader that checks and parses its flags and sizes --limit, and the help
+line that `bssyt verify --help` lists.  `_COMMANDS` has one row per
+command: its help, its arguments as (name, `add_argument` keyword
+arguments) pairs and its handler, which returns the report document and
+its text line.  A well-formed command line (a known command, its
+positionals, exact long flags each followed by one value not beginning with
+"-", every value of its declared type and choices, every required flag
+present) is read from that table straight into the Namespace argparse would
+give, without building a parser (`_read_args`).  Anything else goes to
+`build_parser()`, the full parser built from the same table, so help, usage
+and error text and exit codes are argparse's own.
 """
 
 import argparse
@@ -21,24 +25,10 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import bijections, hecke, jaggedness
 from .shapes import Partition, is_balanced, rect_staircase
 from .tableaux import count_bssyt, count_rpp, count_ssyt, require_bound
-
-CLAIMS = (
-    "conjecture11",
-    "theorem31",
-    "theorem21",
-    "theorem22",
-    "doublesums",
-    "fk14",
-    "fk36",
-    "fk37",
-    "togglesym",
-    "roundtrip",
-)
 
 _COUNTERS = {"ssyt": count_ssyt, "bssyt": count_bssyt, "rpp": count_rpp}
 
@@ -47,28 +37,137 @@ class LimitExceeded(Exception):
     pass
 
 
-_VERIFY_EPILOG = (
-    "claims:\n"
-    "  conjecture11  staircase count factor: bssyt = (k*a*b*(d-1)/(a+b)) * ssyt"
-    "  (--a --b --d --k)\n"
-    "  theorem31     balanced count factor: bssyt = (k*r*c/(r+c)) * ssyt"
-    "  (--shape --k; balanced only)\n"
-    "  theorem21     expected jaggedness equals 2rc/(r+c), from the weak"
-    " subshape histogram (balanced only)\n"
-    "  theorem22     same expectation summed over every subshape, with a"
-    " normalization check (balanced only)\n"
-    "  doublesums    corner and outside-corner ensemble sums both equal the"
-    " bssyt count (any shape)\n"
-    "  togglesym     per-cell toggle-in/out sums agree across the pair"
-    " ensemble (any shape)\n"
-    "  roundtrip     both corner representations invert on every bssyt\n"
-    "  fk14          longest-permutation word polynomial against both"
-    " product-formula variants (--n)\n"
-    "  fk36          word-polynomial ratio identity for a balanced dominant"
-    " code (--shape; --k only sizes --limit)\n"
-    "  fk37          word-polynomial ratio at x=k against the two tableau"
-    " counts (--shape --k)\n"
-)
+def _need(args, *names):
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"claim {args.claim} requires --{name}")
+
+
+def _check_limit(shape, k, limit):
+    """Reject a bad bound k, then refuse a run whose size heuristic exceeds
+    limit, so bad input exits 2 whatever the limit."""
+    require_bound(k)
+    if limit is None:
+        return
+    cost = (k + shape.rows) * shape.ncells
+    if cost > limit:
+        raise LimitExceeded(
+            f"size heuristic ({k} + {shape.rows}) * {shape.ncells} = {cost} "
+            f"exceeds --limit {limit}"
+        )
+
+
+# Argument readers: each checks its flags, sizes --limit and returns the
+# arguments of the library call.
+
+
+def _shape_k(args):
+    _need(args, "shape")
+    shape = Partition.from_text(args.shape)
+    _need(args, "k")
+    _check_limit(shape, args.k, args.limit)
+    return shape, args.k
+
+
+def _shape(args):
+    # the identity is checked as polynomials; --k only sizes the --limit heuristic
+    _need(args, "shape")
+    shape = Partition.from_text(args.shape)
+    _check_limit(shape, 1 if args.k is None else args.k, args.limit)
+    return (shape,)
+
+
+def _staircase(args):
+    _need(args, "a", "b", "d", "k")
+    _check_limit(rect_staircase(args.a, args.b, args.d), args.k, args.limit)
+    return args.a, args.b, args.d, args.k
+
+
+def _n(args):
+    _need(args, "n")
+    return (args.n,)
+
+
+# claim -> (module, name of its library call, argument reader, help line).  The
+# call is looked up when it runs, so a wrapped or patched attribute is called.
+CLAIMS = {name: tuple(row) for name, *row in (
+    ("conjecture11", jaggedness, "verify_conjecture_rect", _staircase,
+     "staircase count factor: bssyt = (k*a*b*(d-1)/(a+b)) * ssyt  (--a --b --d --k)"),
+    ("theorem31", jaggedness, "verify_count_identity", _shape_k,
+     "balanced count factor: bssyt = (k*r*c/(r+c)) * ssyt  (--shape --k; balanced only)"),
+    ("theorem21", jaggedness, "verify_balanced_expectation", _shape_k,
+     "expected jaggedness equals 2rc/(r+c), from the weak subshape histogram"
+     "  (--shape --k; balanced only)"),
+    ("theorem22", jaggedness, "verify_weak_expectation_by_subshape", _shape_k,
+     "same expectation summed over every subshape, with a normalization check"
+     "  (--shape --k; balanced only)"),
+    ("doublesums", jaggedness, "verify_double_sums", _shape_k,
+     "corner and outside-corner ensemble sums both equal the bssyt count"
+     "  (--shape --k; any shape)"),
+    ("fk14", hecke, "verify_fk_longest", _n,
+     "longest-permutation word polynomial against both product-formula variants  (--n)"),
+    ("fk36", hecke, "verify_fk_ratio", _shape,
+     "word-polynomial ratio identity for a balanced dominant code"
+     "  (--shape; --k only sizes --limit)"),
+    ("fk37", hecke, "verify_fk_bssyt_relation", _shape_k,
+     "word-polynomial ratio at x=k against the two tableau counts  (--shape --k)"),
+    ("togglesym", jaggedness, "check_toggle_symmetric", _shape_k,
+     "per-cell toggle-in/out sums agree across the pair ensemble  (--shape --k; any shape)"),
+    ("roundtrip", bijections, "verify_roundtrip", _shape_k,
+     "both corner representations invert on every bssyt  (--shape --k)"),
+)}
+
+_VERIFY_EPILOG = "claims:\n" + "".join(f"  {name:<13} {row[3]}\n" for name, row in CLAIMS.items())
+
+
+def _fraction_text(value):
+    return f"{value.numerator}/{value.denominator}"
+
+
+# Command handlers: each returns (document, a function giving the text line,
+# exit code), so that the text line is built only when it is printed.
+
+
+def _count(args):
+    shape, k = _shape_k(args)
+    value = _COUNTERS[args.kind](shape, k)
+    doc = {
+        "command": "count",
+        "kind": args.kind,
+        "shape": shape.to_text(),
+        "k": k,
+        "count": value,
+    }
+    return doc, lambda: str(value), 0
+
+
+def _verify(args):
+    start = time.perf_counter()
+    module, call, reader, _ = CLAIMS[args.claim]
+    doc = getattr(module, call)(*reader(args)).as_dict()
+    doc["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+    line = (lambda: f"{'PASS' if doc['equal'] else 'FAIL'} {doc['claim']} "
+            f"lhs={json.dumps(doc['lhs'])} rhs={json.dumps(doc['rhs'])} "
+            f"params={json.dumps(doc['params'])}")
+    return doc, line, 0 if doc["equal"] else 1
+
+
+def _expected_jaggedness(args):
+    shape, k = _shape_k(args)
+    value = jaggedness.expected_jaggedness_weak(shape, k)
+    closed = jaggedness._closed_form(shape) if shape.parts and is_balanced(shape) else None
+    doc = {
+        "command": "expected_jaggedness",
+        "shape": shape.to_text(),
+        "k": k,
+        "value": _fraction_text(value),
+        "balanced": closed is not None,
+        "closed_form": None if closed is None else _fraction_text(closed),
+    }
+    note = ("empty shape" if not shape.parts else "unbalanced" if closed is None
+            else f"balanced; closed form 2rc/(r+c) = {doc['closed_form']}")
+    return doc, lambda: f"{doc['value']} ({note})", 0
+
 
 _COMMON = (
     ("--format", {"choices": ("json", "csv", "text"), "default": "text",
@@ -78,7 +177,8 @@ _COMMON = (
 )
 
 # name -> (help in the command list, parser keyword arguments,
-#          (flag or positional name, add_argument keyword arguments) pairs)
+#          (flag or positional name, add_argument keyword arguments) pairs,
+#          handler)
 _COMMANDS = {
     "count": (
         "count one tableau family exactly",
@@ -88,6 +188,7 @@ _COMMANDS = {
             ("--shape", {"required": True, "help": 'comma-separated parts, "" for empty'}),
             ("--k", {"type": int, "required": True}),
         ) + _COMMON,
+        _count,
     ),
     "verify": (
         "check one identity and report lhs/rhs",
@@ -101,6 +202,7 @@ _COMMANDS = {
             ("--d", {"type": int}),
             ("--n", {"type": int}),
         ) + _COMMON,
+        _verify,
     ),
     "expected-jaggedness": (
         "exact expected jaggedness under the weak distribution",
@@ -109,6 +211,7 @@ _COMMANDS = {
             ("--shape", {"required": True}),
             ("--k", {"type": int, "required": True}),
         ) + _COMMON,
+        _expected_jaggedness,
     ),
 }
 
@@ -123,7 +226,7 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, kwargs, arguments) in _COMMANDS.items():
+    for name, (help_text, kwargs, arguments, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text, **kwargs)
         for flag, flag_kwargs in arguments:
             command.add_argument(flag, **flag_kwargs)
@@ -169,155 +272,22 @@ def _read_args(argv):
     })
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"claim {args.claim} requires --{name}")
-
-
-def _check_limit(shape, k, limit):
-    """Reject a bad bound k, then refuse a run whose size heuristic exceeds
-    limit, so bad input exits 2 whatever the limit."""
-    require_bound(k)
-    if limit is None:
-        return
-    cost = (k + shape.rows) * shape.ncells
-    if cost > limit:
-        raise LimitExceeded(
-            f"size heuristic ({k} + {shape.rows}) * {shape.ncells} = {cost} "
-            f"exceeds --limit {limit}"
-        )
-
-
-def _fraction_text(value):
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _run_verify(args):
-    """Build the single report document for the requested claim."""
-    claim = args.claim
-    if claim == "conjecture11":
-        _need(args, "a", "b", "d", "k")
-        _check_limit(rect_staircase(args.a, args.b, args.d), args.k, args.limit)
-        return jaggedness.verify_conjecture_rect(args.a, args.b, args.d, args.k).as_dict()
-    if claim == "fk14":
-        _need(args, "n")
-        return hecke.verify_fk_longest(args.n).as_dict()
-
-    _need(args, "shape")
-    shape = Partition.from_text(args.shape)
-    if claim == "fk36":
-        # the identity is checked as polynomials; --k only sizes the --limit heuristic
-        _check_limit(shape, 1 if args.k is None else args.k, args.limit)
-        return hecke.verify_fk_ratio(shape).as_dict()
-
-    _need(args, "k")
-    _check_limit(shape, args.k, args.limit)
-    if claim == "theorem31":
-        return jaggedness.verify_count_identity(shape, args.k).as_dict()
-    if claim == "theorem21":
-        return jaggedness.verify_balanced_expectation(shape, args.k).as_dict()
-    if claim == "theorem22":
-        return jaggedness.verify_weak_expectation_by_subshape(shape, args.k).as_dict()
-    if claim == "doublesums":
-        return jaggedness.verify_double_sums(shape, args.k).as_dict()
-    if claim == "fk37":
-        return hecke.verify_fk_bssyt_relation(shape, args.k).as_dict()
-    if claim == "roundtrip":
-        return bijections.verify_roundtrip(shape, args.k).as_dict()
-    if claim == "togglesym":
-        return jaggedness.check_toggle_symmetric(shape, args.k).as_dict()
-    raise ValueError(f"unknown claim {claim}")
-
-
-def _emit(doc, fmt, out):
-    if fmt == "json":
+def _dispatch(args, out):
+    """Run the command's handler, then write its text line or its document."""
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be a non-negative integer, got {args.limit}")
+    doc, line, code = _COMMANDS[args.command][3](args)
+    if args.format == "text":
+        out.write(line() + "\n")
+    elif args.format == "json":
         out.write(json.dumps(doc, indent=2) + "\n")
-    elif fmt == "csv":
+    else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(doc.keys())
         writer.writerow(
             json.dumps(v) if isinstance(v, (dict, list)) else v for v in doc.values()
         )
-    else:
-        for key, value in doc.items():
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value)
-            out.write(f"{key}: {value}\n")
-
-
-def _elapsed_ms(start):
-    return int((time.perf_counter() - start) * 1000)
-
-
-def _dispatch(args, out):
-    start = time.perf_counter()
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be a non-negative integer, got {args.limit}")
-    if args.command == "count":
-        shape = Partition.from_text(args.shape)
-        _check_limit(shape, args.k, args.limit)
-        value = _COUNTERS[args.kind](shape, args.k)
-        if args.format == "text":
-            out.write(f"{value}\n")
-        else:
-            _emit(
-                {
-                    "command": "count",
-                    "kind": args.kind,
-                    "shape": shape.to_text(),
-                    "k": args.k,
-                    "count": value,
-                },
-                args.format,
-                out,
-            )
-        return 0
-
-    if args.command == "expected-jaggedness":
-        shape = Partition.from_text(args.shape)
-        _check_limit(shape, args.k, args.limit)
-        value = jaggedness.expected_jaggedness_weak(shape, args.k)
-        balanced = bool(shape.parts) and is_balanced(shape)
-        closed = (
-            Fraction(2 * shape.rows * shape.cols, shape.rows + shape.cols)
-            if balanced
-            else None
-        )
-        if args.format == "text":
-            if not shape.parts:
-                note = " (empty shape)"
-            elif balanced:
-                note = f" (balanced; closed form 2rc/(r+c) = {_fraction_text(closed)})"
-            else:
-                note = " (unbalanced)"
-            out.write(f"{_fraction_text(value)}{note}\n")
-        else:
-            _emit(
-                {
-                    "command": "expected_jaggedness",
-                    "shape": shape.to_text(),
-                    "k": args.k,
-                    "value": _fraction_text(value),
-                    "balanced": balanced,
-                    "closed_form": _fraction_text(closed) if closed is not None else None,
-                },
-                args.format,
-                out,
-            )
-        return 0
-
-    doc = _run_verify(args)
-    doc["elapsed_ms"] = _elapsed_ms(start)
-    if args.format == "text":
-        verdict = "PASS" if doc["equal"] else "FAIL"
-        out.write(
-            f"{verdict} {doc['claim']} lhs={json.dumps(doc['lhs'])} "
-            f"rhs={json.dumps(doc['rhs'])} params={json.dumps(doc['params'])}\n"
-        )
-    else:
-        _emit(doc, args.format, out)
-    return 0 if doc["equal"] else 1
+    return code
 
 
 def main(argv=None):

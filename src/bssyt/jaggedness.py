@@ -69,16 +69,16 @@ def _histogram(lam, k):
     """J(lam), and H(mu) for every subshape as a list indexed by rank."""
     require_bound(k)
     lattice = subshape_lattice(lam)
-    A = [[1] * lattice.size]
-    B = [A[0]]
+    B = [[1] * lattice.size]
     for _ in range(k - 1):
-        A.append(zeta(A[-1], lattice))
         B.append(zeta(B[-1], lattice, up=True))
     # per subshape, the dot product of (A_0 .. A_{k-1}) with (B_{k-1} .. B_0);
-    # each pair of transforms is dropped once it is added in
-    H = [0] * lattice.size
-    while A:
-        H = list(map(add, H, map(mul, A.pop(), B.pop(0))))
+    # A_0 = 1, and each A_i is made when it meets its B, which is then dropped
+    A = B[0]
+    H = B.pop()
+    while B:
+        A = zeta(A, lattice)
+        H = list(map(add, H, map(mul, A, B.pop())))
     return lattice, H
 
 
@@ -141,15 +141,20 @@ def check_toggle_symmetric(lam, k):
     )
 
 
+def _closed_form(lam):
+    """2rc/(r+c), the expected jaggedness on a balanced shape with r rows and
+    c columns; NotBalancedError on any other shape."""
+    require_balanced(lam)
+    return Fraction(2 * lam.rows * lam.cols, lam.rows + lam.cols)
+
+
 def verify_balanced_expectation(lam, k):
     """Expected jaggedness under the weak distribution against 2rc/(r+c)."""
-    require_balanced(lam)
+    target = _closed_form(lam)
     value = expected_jaggedness_weak(lam, k)
-    r, c = lam.rows, lam.cols
-    target = Fraction(2 * r * c, r + c)
     return VerificationReport(
         claim="balanced_expected_jaggedness",
-        params={"shape": lam, "k": k, "rows": r, "cols": c},
+        params={"shape": lam, "k": k, "rows": lam.rows, "cols": lam.cols},
         lhs=value,
         rhs=target,
         equal=value == target,
@@ -165,7 +170,7 @@ def verify_weak_expectation_by_subshape(lam, k):
     different route to the same number), and compares the weighted
     jaggedness sum with the closed form.
     """
-    require_balanced(lam)
+    target = _closed_form(lam)
     histogram = weak_histogram(lam, k)
     pairs = k * count_ssyt(lam, k)
     covered = weighted = 0
@@ -174,8 +179,6 @@ def verify_weak_expectation_by_subshape(lam, k):
         covered += n
         weighted += n * shape_jaggedness(mu, lam)
     value = Fraction(weighted, pairs)
-    r, c = lam.rows, lam.cols
-    target = Fraction(2 * r * c, r + c)
     normalized = covered == pairs
     return VerificationReport(
         claim="weak_distribution_expected_jaggedness",

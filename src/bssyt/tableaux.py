@@ -83,9 +83,14 @@ class _Filling(Record):
     __slots__ = _fields = ("shape", "rows", "k")
 
     def __init__(self, shape, rows, k):
+        try:
+            rows = tuple(tuple(map(self._normalized, row)) for row in rows)
+        except TypeError as exc:
+            # rows, or a row, or a cell that is not a collection of comparable entries
+            raise ValueError(f"malformed filling: {exc}") from None
         set_field = object.__setattr__
         set_field(self, "shape", shape)
-        set_field(self, "rows", tuple(tuple(map(self._normalized, row)) for row in rows))
+        set_field(self, "rows", rows)
         set_field(self, "k", k)
         self.validate()
 

@@ -274,6 +274,49 @@ def test_json_document_is_the_library_report(capsys, argv, report):
     assert doc == report().as_dict()
 
 
+_ARGV = {argv[1]: argv for argv, _ in _ONE_REPORT}
+_OPTIONAL = {("fk36", "--k")}  # fk36's --k only sizes --limit
+
+
+def _flags(argv):
+    return [token for token in argv if token.startswith("--")]
+
+
+@pytest.mark.parametrize("claim, flag", [
+    (claim, flag) for claim in cli.CLAIMS for flag in _flags(_ARGV[claim])
+])
+def test_dropping_a_flag_names_it(capsys, claim, flag):
+    argv = _ARGV[claim]
+    at = argv.index(flag)
+    code, out, err = run(capsys, *argv[:at], *argv[at + 2:])
+    if (claim, flag) in _OPTIONAL:
+        assert code == 0 and out.startswith("PASS ")
+    else:
+        assert (code, out, err) == (2, "", f"error: claim {claim} requires {flag}\n")
+
+
+@pytest.mark.parametrize("claim", list(cli.CLAIMS))
+def test_library_call_is_looked_up_when_it_runs(capsys, monkeypatch, claim):
+    """Patching the module attribute reaches the CLI, as a tracer's wrapper must."""
+    module, call = cli.CLAIMS[claim][:2]
+    fake = VerificationReport("patched", {"k": 1}, 1, 2, False)
+    monkeypatch.setattr(module, call, lambda *a, **kw: fake)
+    code, out, _ = run(capsys, *_ARGV[claim])
+    assert code == 1
+    assert out == 'FAIL patched lhs=1 rhs=2 params={"k": 1}\n'
+
+
+def test_verify_help_lists_every_claim_with_its_flags(capsys):
+    code, out, _ = _main_result(capsys, ["verify", "--help"])
+    assert code == 0
+    lines = out[out.index("claims:\n"):].splitlines()[1:]
+    assert [line.split()[0] for line in lines] == list(cli.CLAIMS)
+    for claim, line in zip(cli.CLAIMS, lines):
+        assert cli.CLAIMS[claim][3] in line
+        for flag in _flags(_ARGV[claim]):
+            assert flag in line, (claim, flag)
+
+
 def _full_parser_result(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)

@@ -47,6 +47,10 @@ def test_validation_rejects_bad_tableaux():
         SetValuedTableau.parse("{2,4},1", k=3)  # row violates max<=min
     with pytest.raises(ValueError):
         SetValuedTableau(P((1,)), (((2, 2),),), 2)  # repeated entry in a cell
+    # rows, rows of cells and cells that are not collections of comparable ints
+    for rows in (((1,),), ((("a", 1),),), 5):
+        with pytest.raises(ValueError, match="malformed filling"):
+            SetValuedTableau(P((1,)), rows, 1)
 
 
 def test_rpp_validation():
@@ -59,6 +63,9 @@ def test_rpp_validation():
     with pytest.raises(ValueError):
         ReversePlanePartition.parse("-1", k=1)
     assert ReversePlanePartition.parse("0,1/1", k=1).rows == ((0, 1), (1,))
+    for rows in (5, (5,)):
+        with pytest.raises(ValueError, match="malformed filling"):
+            ReversePlanePartition(P((1,)), rows, 1)
 
 
 def test_rpp_rejects_bool_entries():
