@@ -29,7 +29,7 @@ neighbour rows, and the total is compared with count_bssyt.  The walk over
 enumerate_bssyt is its oracle in the tests.
 """
 
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import gt
 
 from .lattice import subshape_lattice, subshapes, zeta
@@ -246,6 +246,13 @@ def outside_to_bssyt(triple):
     return _joined(triple, _outside_join)
 
 
+def _survives(row, t):
+    """Whether the singleton cells of a shifted row, shifted back up into
+    row t, shift down and join up to themselves again."""
+    cells = tuple([(v + t,) for v in row])
+    return _join_row(_shift_row(cells, t), t) == cells
+
+
 def _row_chains(shapes, tails, k):
     """Per subshape n of the box k^w and column c where its row c is longer
     than row c + 1: the ranks of n with row c lowered step by step to 0, each
@@ -292,24 +299,34 @@ def verify_roundtrip(lam, k):
     and above those below D less a, its outside split's row.  The corner
     test reads the row below only in column c, so it runs once per class of
     rows below with one entry there, on the class's own row, and the class
-    is counted by a difference of zeta values along D less a's down steps
-    in that column; the outside test likewise on the rows above, along D
-    less b's up steps.  Each round trip also needs D's split to join back
-    to D.  The total must equal count_bssyt, an independent count.
+    is counted by a difference of zeta values along the down steps in that
+    column.  The classes are built once per row, subshape and column, along
+    the down steps of D less b, whatever b is, and each b tests their suffix
+    from D less a, whose entry in column c is b: O(k) work per column to
+    build them, not O(k) per b.  The outside test runs likewise on the rows
+    above, along D less b's up steps.  Each round trip also needs D's split
+    to join back to D, and each split and join runs exactly once per row
+    index and doubled row.  The shifted rows and the fits tables are built
+    once per distinct row width.  The total must equal count_bssyt, an
+    independent count.
     """
     require_bound(k)
     parts = lam.parts
     box = Partition((k,) * max(parts, default=0))
     lattice, shapes = subshape_lattice(box), subshapes(box)
     size = lattice.size
+    # per distinct width: the shifted row each subshape stands for, and
+    # whether it is a row of that width (no cell past it)
+    widths = {0, *parts}
+    shifted = {w: [tuple([k - x for x in mu[:w]]) for mu in shapes] for w in widths}
+    fitting = {w: [not any(mu[w:]) for mu in shapes] for w in widths}
     # rows[t][n]: the shifted row of row t that subshape n stands for; rows
     # 0 and len(parts) + 1 are empty, so they fit next to every row
-    rows = [[tuple([k - x for x in mu[:width]]) for mu in shapes] for width in (0, *parts, 0)]
+    rows = [shifted[width] for width in (0, *parts, 0)]
     fits, survives = {}, {}  # per subshape: is it a row of row t, and one that survives
     for t, width in enumerate(parts, start=1):
-        fits[t] = [not any(mu[width:]) for mu in shapes]
-        cells = [tuple([(v + t,) for v in row]) for row in rows[t]]
-        survives[t] = [f and _join_row(_shift_row(T, t), t) == T for f, T in zip(fits[t], cells)]
+        fits[t] = fitting[width]
+        survives[t] = [f and _survives(row, t) for f, row in zip(fits[t], rows[t])]
 
     def transfer(levels, up):
         # reach[t]: per subshape, the fillings of the rows beyond row t whose
@@ -328,9 +345,12 @@ def verify_roundtrip(lam, k):
 
     def classes(values, path, t):
         # the rows of row t split by their entry in the column of a chain's
-        # path: each class's own row, and its count from the zeta values
+        # path: each class's position on the path, its own row, and its
+        # count from the zeta values
         counts = [values[n] for n in path] + [0]
-        return [(rows[t][n], a - b) for n, a, b in zip(path, counts, counts[1:]) if a != b]
+        row = rows[t]
+        pairs = zip(count(), path, counts, counts[1:])
+        return [(p, row[n], a - b) for p, n, a, b in pairs if a != b]
 
     total = corner_ok = outside_ok = 0
     for r, width in enumerate(parts, start=1):
@@ -338,26 +358,34 @@ def verify_roundtrip(lam, k):
         down_all, down_ok = below[r]
         for n in compress(range(size), fits[r]):
             row = rows[r][n]  # D less b, for every b up to the next entry, or k
+            singles = tuple([(v + r,) for v in row])
             for c, a in enumerate(row):
                 gaps = (row[c + 1] if c + 1 < width else k) - a
                 if not gaps:
                     continue
                 downs, lifts = chains[n][c]
+                # the column's classes, once; a gap's lower classes are the
+                # suffix from its position, where D less a is
                 uppers = classes(up_ok, lifts, r - 1)
+                lowers = classes(down_ok, downs, r + 1)
+                head, tail = singles[:c], singles[c + 1 :]
                 for gap in range(1, gaps + 1):
                     held_n = downs[gap]  # D less a
-                    cells = [(v + r,) for v in row]
-                    cells[c] = (a + r, a + gap + r)
-                    doubled = tuple(cells)
+                    doubled = head + ((a + r, a + gap + r),) + tail
                     kept, i = _corner_split(doubled, r, c)
                     held, j = _outside_split(doubled, r, c)
                     total += up_all[n] * down_all[held_n]
                     if _corner_join(kept, r, c, i) == doubled:
-                        lowers = classes(down_ok, downs[gap:], r + 1)
-                        passed = sum(m for v, m in lowers if _is_corner(kept, v, c, i, k))
+                        passed = 0
+                        for p, v, m in lowers:
+                            if p >= gap and _is_corner(kept, v, c, i, k):
+                                passed += m
                         corner_ok += up_ok[n] * passed
                     if _outside_join(held, r, c, j) == doubled:
-                        passed = sum(m for v, m in uppers if _is_outside_corner(held, v, c, j, k))
+                        passed = 0
+                        for _, v, m in uppers:
+                            if _is_outside_corner(held, v, c, j, k):
+                                passed += m
                         outside_ok += passed * down_ok[held_n]
     expected = count_bssyt(lam, k)
     return VerificationReport(

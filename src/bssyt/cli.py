@@ -7,8 +7,9 @@ run refused up front by --limit.
 
 The CLI is driven by two tables.  `CLAIMS` has one row per `verify` claim:
 the module and name of the library call that checks it, the argument
-reader that checks and parses its flags and sizes --limit, and the help
-line that `bssyt verify --help` lists.  `_COMMANDS` has one row per
+reader that checks and parses its flags and sizes --limit, the help line
+that `bssyt verify --help` lists, and the flags the reader reads; any other
+claim flag is invalid input.  `_COMMANDS` has one row per
 command: its help, its arguments as (name, `add_argument` keyword
 arguments) pairs and its handler, which returns the report document and
 its text line.  A well-formed command line (a known command, its
@@ -88,33 +89,40 @@ def _n(args):
     return (args.n,)
 
 
-# claim -> (module, name of its library call, argument reader, help line).  The
-# call is looked up when it runs, so a wrapped or patched attribute is called.
+_SHAPE_K, _STAIRCASE = ("shape", "k"), ("a", "b", "d", "k")
+
+# claim -> (module, name of its library call, argument reader, help line, the
+# flags the reader reads).  The call is looked up when it runs, so a wrapped or
+# patched attribute is called.  Any other claim flag is refused.
 CLAIMS = {name: tuple(row) for name, *row in (
     ("conjecture11", jaggedness, "verify_conjecture_rect", _staircase,
-     "staircase count factor: bssyt = (k*a*b*(d-1)/(a+b)) * ssyt  (--a --b --d --k)"),
+     "staircase count factor: bssyt = (k*a*b*(d-1)/(a+b)) * ssyt  (--a --b --d --k)",
+     _STAIRCASE),
     ("theorem31", jaggedness, "verify_count_identity", _shape_k,
-     "balanced count factor: bssyt = (k*r*c/(r+c)) * ssyt  (--shape --k; balanced only)"),
+     "balanced count factor: bssyt = (k*r*c/(r+c)) * ssyt  (--shape --k; balanced only)",
+     _SHAPE_K),
     ("theorem21", jaggedness, "verify_balanced_expectation", _shape_k,
      "expected jaggedness equals 2rc/(r+c), from the weak subshape histogram"
-     "  (--shape --k; balanced only)"),
+     "  (--shape --k; balanced only)", _SHAPE_K),
     ("theorem22", jaggedness, "verify_weak_expectation_by_subshape", _shape_k,
      "same expectation summed over every subshape, with a normalization check"
-     "  (--shape --k; balanced only)"),
+     "  (--shape --k; balanced only)", _SHAPE_K),
     ("doublesums", jaggedness, "verify_double_sums", _shape_k,
      "corner and outside-corner ensemble sums both equal the bssyt count"
-     "  (--shape --k; any shape)"),
+     "  (--shape --k; any shape)", _SHAPE_K),
     ("fk14", hecke, "verify_fk_longest", _n,
-     "longest-permutation word polynomial against both product-formula variants  (--n)"),
+     "longest-permutation word polynomial against both product-formula variants  (--n)",
+     ("n",)),
     ("fk36", hecke, "verify_fk_ratio", _shape,
      "word-polynomial ratio identity for a balanced dominant code"
-     "  (--shape; --k only sizes --limit)"),
+     "  (--shape; --k only sizes --limit)", _SHAPE_K),
     ("fk37", hecke, "verify_fk_bssyt_relation", _shape_k,
-     "word-polynomial ratio at x=k against the two tableau counts  (--shape --k)"),
+     "word-polynomial ratio at x=k against the two tableau counts  (--shape --k)", _SHAPE_K),
     ("togglesym", jaggedness, "check_toggle_symmetric", _shape_k,
-     "per-cell toggle-in/out sums agree across the pair ensemble  (--shape --k; any shape)"),
+     "per-cell toggle-in/out sums agree across the pair ensemble  (--shape --k; any shape)",
+     _SHAPE_K),
     ("roundtrip", bijections, "verify_roundtrip", _shape_k,
-     "both corner representations invert on every bssyt  (--shape --k)"),
+     "both corner representations invert on every bssyt  (--shape --k)", _SHAPE_K),
 )}
 
 _VERIFY_EPILOG = "claims:\n" + "".join(f"  {name:<13} {row[3]}\n" for name, row in CLAIMS.items())
@@ -143,7 +151,10 @@ def _count(args):
 
 def _verify(args):
     start = time.perf_counter()
-    module, call, reader, _ = CLAIMS[args.claim]
+    module, call, reader, _, flags = CLAIMS[args.claim]
+    for name in _VERIFY_FLAGS:
+        if name not in flags and getattr(args, name) is not None:
+            raise ValueError(f"claim {args.claim} does not take --{name}")
     doc = getattr(module, call)(*reader(args)).as_dict()
     doc["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
     line = (lambda: f"{'PASS' if doc['equal'] else 'FAIL'} {doc['claim']} "
@@ -214,6 +225,11 @@ _COMMANDS = {
         _expected_jaggedness,
     ),
 }
+
+
+# the claim flags of `verify`, all but its positional and --format and --limit,
+# which every claim takes
+_VERIFY_FLAGS = [flag[2:] for flag, _ in _COMMANDS["verify"][2][1 : -len(_COMMON)]]
 
 
 def build_parser():

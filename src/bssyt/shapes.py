@@ -3,17 +3,23 @@
 A partition doubles as a Young diagram (English orientation, row 1 on top)
 and, when contained in a larger shape, as an order ideal of that shape's
 cell poset.  Corners are the removable cells; outside corners the addable
-ones, where the two boundary conventions (the cell right of row 1 and the
-cell below column 1) are always generated and then filtered by membership
-in the ambient shape.  The lists `corners` and `proper_outside_corners` are
-the per-shape definitions of the two cell sets: the corner counts, the
-jaggedness and the toggle tests here are all read off them, and they are
-the oracle of the covers, grouped by cell, from which the lattice module
-reads the same cells for every subshape at once.  Everything here
-is integer arithmetic: the balanced test cross-multiplies instead of
-comparing slopes, so there is no tolerance anywhere.
+ones, the two boundary conventions (the cell right of row 1 and the cell
+below column 1) included, of which the proper ones lie in the ambient
+shape.  One per-row rule on the part tuples defines both cell sets
+(`_corner_flags`, `_outside_flags`): the lists `corners`,
+`outside_corners` and `proper_outside_corners` hold the cells it flags,
+the counts and `jaggedness` add up its flags without building a cell, and
+the toggle tests read the lists.  They are the per-shape oracle of the
+covers, grouped by cell, from which the lattice module reads the same cells
+for every subshape at once; `all_subshapes` lists the subshapes without
+that module.  Everything here is integer arithmetic: the balanced test
+cross-multiplies instead of comparing slopes, so there is no tolerance
+anywhere.
 """
 
+from bisect import bisect_left
+from itertools import count
+from operator import and_, gt, le, lt
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -138,9 +144,7 @@ def rect_staircase(a, b, d):
 
 def subshape_contained(mu, lam):
     """True iff mu fits cellwise inside lam."""
-    if mu.rows > lam.rows:
-        return False
-    return all(m <= l for m, l in zip(mu.parts, lam.parts))
+    return len(mu.parts) <= len(lam.parts) and all(map(le, mu.parts, lam.parts))
 
 
 def _require_contained(mu, lam):
@@ -148,33 +152,57 @@ def _require_contained(mu, lam):
         raise ValueError(f"{mu!r} is not a subshape of {lam!r}")
 
 
+def _padded(mu, lam):
+    """mu's parts padded with zeros to lam's length; ValueError unless mu fits in lam."""
+    _require_contained(mu, lam)
+    return mu.parts + (0,) * (len(lam.parts) - len(mu.parts))
+
+
 def all_subshapes(lam) -> Iterator[Partition]:
     """Every partition contained in lam, each exactly once.
 
     Deterministic order: lexicographic in the part tuples, shortest prefix
-    first, so the empty shape leads and lam itself comes last.
+    first, so the empty shape leads and lam itself comes last.  Built from
+    the bottom row up: the subshapes of rows d, d + 1, .. are the empty one
+    and each v = 1 .. lam_d ahead of those of the rows below whose first part
+    is at most v, a prefix of their ordered list.  The part tuples are built
+    here, so each Partition takes its tuple unchecked.
     """
-    parts = lam.parts
+    below = [()]
+    for width in reversed(lam.parts):
+        below = [()] + [
+            (v,) + mu
+            for v in range(1, width + 1)
+            for mu in below[: bisect_left(below, (v + 1,))]
+        ]
+    for parts in below:
+        mu = object.__new__(Partition)
+        mu.parts = parts
+        yield mu
 
-    def rec(row, cap):
-        yield ()
-        if row == len(parts):
-            return
-        for v in range(1, min(cap, parts[row]) + 1):
-            for rest in rec(row + 1, v):
-                yield (v,) + rest
 
-    for tup in rec(0, parts[0] if parts else 0):
-        yield Partition(tup)
+def _corner_flags(parts):
+    """The corner rule: per row of a part tuple (zeros may trail), whether
+    its last cell is a corner, that is, the row is longer than the next."""
+    return map(gt, parts, parts[1:] + (0,))
+
+
+def _outside_flags(parts, bounds):
+    """The outside-corner rule: per row i of a part tuple padded with zeros
+    to the length of bounds, whether the cell just past its end is an
+    outside corner within bounds, that is, the row is shorter than bounds[i]
+    and than the row above (bounds[0] stands in above the top row)."""
+    return map(and_, map(lt, parts, bounds), map(gt, bounds[:1] + parts, parts))
 
 
 def corners(mu):
     """Removable cells of mu: the end of each row strictly longer than the next."""
-    return [
-        Cell(i, mu.part(i))
-        for i in range(1, mu.rows + 1)
-        if mu.part(i) > mu.part(i + 1)
-    ]
+    parts = mu.parts
+    return [Cell(i, p) for i, p, f in zip(count(1), parts, _corner_flags(parts)) if f]
+
+
+def _outside_cells(parts, bounds):
+    return [Cell(i, p + 1) for i, p, f in zip(count(1), parts, _outside_flags(parts, bounds)) if f]
 
 
 def outside_corners(mu):
@@ -182,37 +210,33 @@ def outside_corners(mu):
 
     Includes the two boundary conventions: the cell just right of row 1 and
     the cell just below column 1.  The empty shape has the single addable
-    cell (1, 1).
+    cell (1, 1).  These are the proper outside corners of mu in the box one
+    row and one column larger than mu.
     """
-    if not mu.parts:
-        return [Cell(1, 1)]
-    out = [Cell(1, mu.cols + 1)]
-    for i in range(2, mu.rows + 1):
-        if mu.part(i - 1) > mu.part(i):
-            out.append(Cell(i, mu.part(i) + 1))
-    out.append(Cell(mu.rows + 1, 1))
-    return out
+    parts = mu.parts + (0,)
+    return _outside_cells(parts, (parts[0] + 1,) * len(parts))
 
 
 def proper_outside_corners(mu, lam):
     """Addable cells of mu that lie inside lam."""
-    _require_contained(mu, lam)
-    return [cell for cell in outside_corners(mu) if lam.contains_cell(cell)]
+    return _outside_cells(_padded(mu, lam), lam.parts)
 
 
 def corner_count(mu):
     """Number of corners of mu."""
-    return len(corners(mu))
+    return sum(_corner_flags(mu.parts))
 
 
 def proper_outside_corner_count(mu, lam):
     """Number of proper outside corners of mu within lam."""
-    return len(proper_outside_corners(mu, lam))
+    return sum(_outside_flags(_padded(mu, lam), lam.parts))
 
 
 def jaggedness(mu, lam):
-    """Number of corners of mu plus proper outside corners of mu within lam."""
-    return corner_count(mu) + proper_outside_corner_count(mu, lam)
+    """Number of corners of mu plus proper outside corners of mu within lam,
+    counted on the part tuples without building a cell."""
+    parts = _padded(mu, lam)
+    return sum(_corner_flags(parts)) + sum(_outside_flags(parts, lam.parts))
 
 
 class LatticePath(NamedTuple):

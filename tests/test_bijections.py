@@ -348,3 +348,31 @@ def test_roundtrip_count_sees_a_slipped_row_step(monkeypatch, helper, mutant):
             assert not report.equal and 0 < corner_ok == outside_ok < total
         else:
             assert not report.equal and corner_ok == outside_ok == 0
+
+
+@pytest.mark.parametrize("parts", [(2, 2), (3, 2, 1)])
+def test_roundtrip_runs_each_row_step_once_per_doubled_row(monkeypatch, parts):
+    # each split and join runs once per (row index, doubled row) that the
+    # tableau walk meets, so the count shares no step across rows
+    lam, k = P(parts), 2
+    met = set()
+    for T in enumerate_bssyt(lam, k):
+        (t,) = [t for t, row in enumerate(T.rows, start=1) if any(len(cell) == 2 for cell in row)]
+        met.add((t, T.rows[t - 1]))
+    seen = {}
+    for name in ("_corner_split", "_outside_split", "_corner_join", "_outside_join"):
+        step = getattr(bijections, name)
+        keys = seen[name] = []
+
+        def counted(row, t, *rest, step=step, name=name, keys=keys):
+            out = step(row, t, *rest)
+            # a split is keyed by the doubled row it reads, a join by the one it makes
+            keys.append((t, row if name.endswith("split") else out))
+            return out
+
+        monkeypatch.setattr(bijections, name, counted)
+    report = verify_roundtrip(lam, k)
+    assert report.equal and report.params["tableaux"] == len(list(enumerate_bssyt(lam, k)))
+    for name, keys in seen.items():
+        assert len(keys) == len(met), name
+        assert set(keys) == met, name

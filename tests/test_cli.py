@@ -295,6 +295,36 @@ def test_dropping_a_flag_names_it(capsys, claim, flag):
         assert (code, out, err) == (2, "", f"error: claim {claim} requires {flag}\n")
 
 
+# per claim flag, a valid value and one that is bad wherever the flag is read
+_FLAG_VALUES = {"--shape": ("1", "1,2"), "--k": ("1", "0"), "--a": ("1", "0"),
+                "--b": ("1", "0"), "--d": ("2", "0"), "--n": ("2", "99")}
+
+
+def test_each_claim_row_names_the_flags_of_its_pinned_argv():
+    assert set(_FLAG_VALUES) == {f"--{name}" for name in cli._VERIFY_FLAGS}
+    for claim, argv in _ARGV.items():
+        assert {f"--{name}" for name in cli.CLAIMS[claim][4]} == set(_flags(argv)), claim
+
+
+@pytest.mark.parametrize("claim, flag", [
+    (claim, flag) for claim in cli.CLAIMS for flag in _FLAG_VALUES
+    if flag[2:] not in cli.CLAIMS[claim][4]
+])
+def test_a_flag_the_claim_does_not_read_is_refused(capsys, claim, flag):
+    # before and after the claim's own flags, whatever the value
+    for at in (2, len(_ARGV[claim])):
+        for value in _FLAG_VALUES[flag]:
+            argv = _ARGV[claim][:at] + [flag, value] + _ARGV[claim][at:]
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: claim {claim} does not take {flag}\n")
+
+
+@pytest.mark.parametrize("claim", list(cli.CLAIMS))
+def test_format_and_limit_are_taken_by_every_claim(capsys, claim):
+    code, out, _ = run(capsys, *_ARGV[claim], "--format", "json", "--limit", "1000000")
+    assert code == 0 and json.loads(out)["equal"] is True
+
+
 @pytest.mark.parametrize("claim", list(cli.CLAIMS))
 def test_library_call_is_looked_up_when_it_runs(capsys, monkeypatch, claim):
     """Patching the module attribute reaches the CLI, as a tracer's wrapper must."""

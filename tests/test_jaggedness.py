@@ -1,9 +1,12 @@
 import types
 from fractions import Fraction
+from itertools import repeat
+from operator import add, and_, gt, lt, sub
 
 import pytest
 
 import bssyt.jaggedness
+import bssyt.shapes
 from bssyt.jaggedness import (
     check_toggle_symmetric,
     expected_jaggedness_weak,
@@ -16,7 +19,7 @@ from bssyt.jaggedness import (
     weak_histogram,
     weak_probability,
 )
-from bssyt.lattice import subshape_lattice, subshapes
+from bssyt.lattice import subshape_count, subshape_lattice, subshapes
 from bssyt.reports import VerificationReport
 from bssyt.shapes import (
     Cell,
@@ -243,6 +246,47 @@ def test_weak_expectation_by_subshape_agrees():
         assert aggregated.params["normalized"] is True
     with pytest.raises(NotBalancedError):
         verify_weak_expectation_by_subshape(P((3, 1)), 1)
+
+
+def _jaggedness_plus_one(mu, lam, jaggedness=shape_jaggedness):
+    return jaggedness(mu, lam) + 1
+
+
+def _corner_flags_off_by_one(parts):
+    # a row's end is taken as a corner only when the row is two longer than the next
+    return map(gt, parts, map(add, parts[1:] + (0,), repeat(1)))
+
+
+def _outside_flags_off_by_one(parts, bounds):
+    # a row one cell short of lam's row is taken as having no outside corner
+    short = map(lt, parts, map(sub, bounds, repeat(1)))
+    return map(and_, short, map(gt, bounds[:1] + parts, parts))
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant",
+    [
+        (bssyt.jaggedness, "shape_jaggedness", _jaggedness_plus_one),
+        (bssyt.shapes, "_corner_flags", _corner_flags_off_by_one),
+        (bssyt.shapes, "_outside_flags", _outside_flags_off_by_one),
+    ],
+    ids=["shape_jaggedness", "corner_rule", "outside_rule"],
+)
+def test_theorem22_measures_jaggedness_on_its_own(monkeypatch, module, name, mutant):
+    # theorem22 reads every subshape's jaggedness from shapes; theorem21 and
+    # doublesums read the lattice's covers, so a slip in shapes fails only it
+    cases = ((P((2, 2)), 2), (P((3, 3, 3)), 1), (P((4, 4, 2, 1)), 2), (P((6, 6, 3, 3)), 1))
+    for lam, k in cases:
+        walked = verify_weak_expectation_by_subshape(lam, k)
+        assert walked.equal and walked.params["subshapes_seen"] == subshape_count(lam)
+    monkeypatch.setattr(module, name, mutant)
+    for lam, k in cases:
+        walked = verify_weak_expectation_by_subshape(lam, k)
+        assert not walked.equal and walked.lhs != walked.rhs, (lam, k)
+        assert walked.params["normalized"] is True
+        assert walked.params["subshapes_seen"] == subshape_count(lam)
+        assert verify_balanced_expectation(lam, k).equal
+        assert verify_double_sums(lam, k).equal
 
 
 def test_count_identity():
