@@ -22,8 +22,11 @@ toggle sums and the expected jaggedness come from one pass over the covers
 of J(lam), grouped by the cell they remove or add, that sums H over the
 subshapes of which each cell is a corner or a proper outside corner,
 without building a shape per subshape.  verify_weak_expectation_by_subshape
-walks every subshape and measures its jaggedness from shapes instead, as
-the independent route to the same expectation.  All probabilities and
+is the independent route to the same expectation: it takes only the
+histogram from the lattice, walks the subshapes of shapes.all_subshapes,
+looks each one up by its part tuple and measures its jaggedness with
+shapes.jaggedness, which counts the flags of the same corner rule that
+shapes.corners and shapes.proper_outside_corners list cells from.  All probabilities and
 expectations are exact rationals; nothing is sampled.
 """
 
@@ -165,11 +168,13 @@ def verify_balanced_expectation(lam, k):
 def verify_weak_expectation_by_subshape(lam, k):
     """Same equality, but summed over every subshape of lam.
 
-    Walks the subshapes of lam independently of the histogram's lattice,
-    weights each by its histogram count, checks those counts add up to the
-    ensemble size k * |SSYT(lam, k)| from the Jacobi-Trudi determinant (a
-    different route to the same number), and compares the weighted
-    jaggedness sum with the closed form.
+    Walks the subshapes of lam from shapes.all_subshapes, independently of
+    the histogram's lattice, weights each by its histogram count looked up
+    by part tuple and its jaggedness from shapes.jaggedness (counted on the
+    part tuples), checks those counts add up to the ensemble size
+    k * |SSYT(lam, k)| from the Jacobi-Trudi determinant (a different route
+    to the same number), and compares the weighted jaggedness sum with the
+    closed form.  subshapes_seen is the number of subshapes the walk visits.
     """
     target = _closed_form(lam)
     histogram = weak_histogram(lam, k)
