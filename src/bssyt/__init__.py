@@ -49,6 +49,7 @@ from .jaggedness import (
     verify_double_sums,
     verify_ensemble_size,
     verify_weak_expectation_by_subshape,
+    weak_distribution,
     weak_histogram,
     weak_probability,
 )

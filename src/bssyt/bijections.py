@@ -29,8 +29,8 @@ neighbour rows, and the total is compared with count_bssyt.  The walk over
 enumerate_bssyt is its oracle in the tests.
 """
 
-from itertools import accumulate, compress, count, repeat
-from operator import gt
+from itertools import accumulate, repeat
+from operator import getitem, mul, sub
 
 from .lattice import subshape_lattice, subshapes, zeta
 from .reports import Record, VerificationReport
@@ -135,9 +135,7 @@ def _corner_join(row, t, c, level):
 def _outside_split(row, t, c):
     """The outside map on row t, doubled at column c: the shifted row keeps
     the larger entry b, and the smaller one a gives the level a - t + 1."""
-    a, b = row[c]
-    shifted = _shift_row(row, t)
-    return shifted[:c] + (b - t,) + shifted[c + 1 :], a - t + 1
+    return tuple([cell[-1] - t for cell in row]), row[c][0] - t + 1
 
 
 def _outside_join(row, t, c, level):
@@ -253,11 +251,19 @@ def _survives(row, t):
     return _join_row(_shift_row(cells, t), t) == cells
 
 
-def _row_chains(shapes, tails, k):
-    """Per subshape n of the box k^w and column c where its row c is longer
-    than row c + 1: the ranks of n with row c lowered step by step to 0, each
-    time clamping the rows below to it, and with row c raised step by step
-    to k, each time lifting the rows above to it.
+def _row_steps(shapes, tails, k):
+    """One step of each row of the box k^w, and the columns where rows step up.
+
+    lowered[c][x] is the rank of subshape x with row c lowered by one and
+    the rows below clamped to it, and raised[c][x] that of x with row c
+    raised by one and the rows above lifted to it; len(shapes), no subshape,
+    where row c is 0 or k.  Repeated, they walk x's chains in column c: the
+    rows with one entry fewer or more there, down to 0 or up to k.  records
+    holds, per subshape n and column c where row c is longer than row c + 1
+    (so n's row, k minus its parts, has a gap after column c), n, c, the
+    entry there and the gap to the next entry or to k.  The subshapes are
+    taken shortest first, so the rows of width w, the subshapes with at
+    most w nonzero parts, own the first ends[w] records.
 
     By the lattice module's rank formula, moving a row j from v to v + 1
     moves the rank by T_{j+1}(v), so each step moves it by a difference of
@@ -265,24 +271,27 @@ def _row_chains(shapes, tails, k):
     step at v moves the rows longer than v from row c down, or the rows up
     to row c that are not longer than v.
     """
-    w = len(tails) - 1
+    w, size = len(tails) - 1, len(shapes)
     steps = [list(accumulate((tails[j + 1][v] for j in range(w)), initial=0)) for v in range(k)]
-    chains = []
-    for n, mu in enumerate(shapes):
-        longer = [sum(map(gt, mu, repeat(v))) for v in range(k)]
-        per_column = [None] * w
-        for c, m in enumerate(mu):
-            if m == (mu[c + 1] if c + 1 < w else 0):
-                continue
-            lowered = [n]
-            for v in reversed(range(m)):
-                lowered.append(lowered[-1] - steps[v][longer[v]] + steps[v][c])
-            lifted = [n]
-            for v in range(m, k):
-                lifted.append(lifted[-1] + steps[v][c + 1] - steps[v][longer[v]])
-            per_column[c] = lowered, lifted
-        chains.append(per_column)
-    return chains
+    per_row = list(zip(*steps))  # per_row[j][v] = steps[v][j]
+    lowered, raised = [[size] * size for _ in range(w)], [[size] * size for _ in range(w)]
+    by_length = [[] for _ in range(w + 1)]
+    for x, mu in enumerate(shapes):
+        # steps[v][the number of rows of x longer than v], for each v
+        longer = list(map(getitem, steps, map(sub, repeat(w), accumulate(map(mu.count, range(k))))))
+        records = by_length[w - mu.count(0)]
+        next_m = 0
+        for c in reversed(range(w)):
+            m = mu[c]
+            if m:
+                lowered[c][x] = x - longer[m - 1] + per_row[c][m - 1]
+            if m < k:
+                raised[c][x] = x + per_row[c + 1][m] - longer[m]
+            if m != next_m:
+                records.append((x, c, k - m, m - next_m))
+            next_m = m
+    records = [record for group in by_length for record in group]
+    return lowered, raised, records, list(accumulate(map(len, by_length)))
 
 
 def verify_roundtrip(lam, k):
@@ -299,34 +308,32 @@ def verify_roundtrip(lam, k):
     and above those below D less a, its outside split's row.  The corner
     test reads the row below only in column c, so it runs once per class of
     rows below with one entry there, on the class's own row, and the class
-    is counted by a difference of zeta values along the down steps in that
-    column.  The classes are built once per row, subshape and column, along
-    the down steps of D less b, whatever b is, and each b tests their suffix
-    from D less a, whose entry in column c is b: O(k) work per column to
-    build them, not O(k) per b.  The outside test runs likewise on the rows
-    above, along D less b's up steps.  Each round trip also needs D's split
-    to join back to D, and each split and join runs exactly once per row
-    index and doubled row.  The shifted rows and the fits tables are built
-    once per distinct row width.  The total must equal count_bssyt, an
-    independent count.
+    is counted by a difference of zeta values one down step apart in that
+    column; each b tests the classes from D less a down, whose entry in
+    column c is b.  The outside test runs likewise on the rows above, along
+    D less b's up steps.  Each round trip also needs D's split to join back
+    to D, and each split and join runs exactly once per row index and
+    doubled row; doubled_rows counts those pairs.  The row steps, the
+    columns of every row and the shifted rows of every width are built
+    once, so a row index adds only its survive flags, its zeta transforms
+    and its doubled rows, each with its steps, its walks and its class
+    tests.  The total must equal count_bssyt, an independent count.
     """
     require_bound(k)
     parts = lam.parts
     box = Partition((k,) * max(parts, default=0))
     lattice, shapes = subshape_lattice(box), subshapes(box)
     size = lattice.size
+    lowered, raised, records, ends = _row_steps(shapes, lattice.tails, k)
     # per distinct width: the shifted row each subshape stands for, and
     # whether it is a row of that width (no cell past it)
     widths = {0, *parts}
-    shifted = {w: [tuple([k - x for x in mu[:w]]) for mu in shapes] for w in widths}
-    fitting = {w: [not any(mu[w:]) for mu in shapes] for w in widths}
-    # rows[t][n]: the shifted row of row t that subshape n stands for; rows
-    # 0 and len(parts) + 1 are empty, so they fit next to every row
-    rows = [shifted[width] for width in (0, *parts, 0)]
-    fits, survives = {}, {}  # per subshape: is it a row of row t, and one that survives
+    full = [tuple([k - x for x in mu]) for mu in shapes]
+    shifted = {w: [row[:w] for row in full] for w in widths}
+    fits = {w: [not any(mu[w:]) for mu in shapes] for w in widths}
+    survives = {}  # per row t and subshape: is it a row of row t that survives
     for t, width in enumerate(parts, start=1):
-        fits[t] = fitting[width]
-        survives[t] = [f and _survives(row, t) for f, row in zip(fits[t], rows[t])]
+        survives[t] = [f and _survives(row, t) for f, row in zip(fits[width], shifted[width])]
 
     def transfer(levels, up):
         # reach[t]: per subshape, the fillings of the rows beyond row t whose
@@ -335,58 +342,54 @@ def verify_roundtrip(lam, k):
         reach = {}
         for t in levels:
             reach[t] = total, ok
-            total = zeta([n if f else 0 for n, f in zip(total, fits[t])], lattice, up)
-            ok = zeta([n if f else 0 for n, f in zip(ok, survives[t])], lattice, up)
+            if t == levels[-1]:
+                break
+            total = zeta(map(mul, total, fits[parts[t - 1]]), lattice, up)
+            ok = zeta(map(mul, ok, survives[t]), lattice, up)
         return reach
 
     above = transfer(range(1, len(parts) + 1), up=True)
     below = transfer(range(len(parts), 0, -1), up=False)
-    chains = _row_chains(shapes, lattice.tails, k)
-
-    def classes(values, path, t):
-        # the rows of row t split by their entry in the column of a chain's
-        # path: each class's position on the path, its own row, and its
-        # count from the zeta values
-        counts = [values[n] for n in path] + [0]
-        row = rows[t]
-        pairs = zip(count(), path, counts, counts[1:])
-        return [(p, row[n], a - b) for p, n, a, b in pairs if a != b]
-
-    total = corner_ok = outside_ok = 0
-    for r, width in enumerate(parts, start=1):
+    total = corner_ok = outside_ok = doubled_rows = 0
+    neighbours = zip(parts, (*parts[1:], 0), (0, *parts))
+    for r, (width, lower_width, upper_width) in enumerate(neighbours, start=1):
         up_all, up_ok = above[r]
         down_all, down_ok = below[r]
-        for n in compress(range(size), fits[r]):
-            row = rows[r][n]  # D less b, for every b up to the next entry, or k
-            singles = tuple([(v + r,) for v in row])
-            for c, a in enumerate(row):
-                gaps = (row[c + 1] if c + 1 < width else k) - a
-                if not gaps:
-                    continue
-                downs, lifts = chains[n][c]
-                # the column's classes, once; a gap's lower classes are the
-                # suffix from its position, where D less a is
-                uppers = classes(up_ok, lifts, r - 1)
-                lowers = classes(down_ok, downs, r + 1)
-                head, tail = singles[:c], singles[c + 1 :]
-                for gap in range(1, gaps + 1):
-                    held_n = downs[gap]  # D less a
-                    doubled = head + ((a + r, a + gap + r),) + tail
-                    kept, i = _corner_split(doubled, r, c)
-                    held, j = _outside_split(doubled, r, c)
-                    total += up_all[n] * down_all[held_n]
-                    if _corner_join(kept, r, c, i) == doubled:
-                        passed = 0
-                        for p, v, m in lowers:
-                            if p >= gap and _is_corner(kept, v, c, i, k):
-                                passed += m
-                        corner_ok += up_ok[n] * passed
-                    if _outside_join(held, r, c, j) == doubled:
-                        passed = 0
-                        for _, v, m in uppers:
-                            if _is_outside_corner(held, v, c, j, k):
-                                passed += m
-                        outside_ok += passed * down_ok[held_n]
+        # the rows below, and above, in one class per subshape x on a walk
+        # whose entry they share in its column, counted by the difference of
+        # the zeta values at x and one step past it (0 past the end)
+        below_ok, above_ok = [*down_ok, 0], [*up_ok, 0]
+        lows, ups = shifted[lower_width], shifted[upper_width]
+        # D less b's cells, per subshape that is a row of row r
+        singles = [f and tuple([(v + r,) for v in row]) for f, row in zip(fits[width], shifted[width])]
+        for n, c, a, gaps in records[: ends[width]]:
+            row = singles[n]
+            head, tail, a = row[:c], row[c + 1 :], a + r
+            down, up = lowered[c], raised[c]
+            held_n = n
+            for gap in range(1, gaps + 1):
+                held_n = down[held_n]  # D less a
+                doubled = head + ((a, a + gap),) + tail
+                kept, i = _corner_split(doubled, r, c)
+                held, j = _outside_split(doubled, r, c)
+                total += up_all[n] * down_all[held_n]
+                if _corner_join(kept, r, c, i) == doubled:
+                    passed, x = 0, held_n
+                    while x != size:
+                        m = below_ok[x] - below_ok[down[x]]
+                        if m and _is_corner(kept, lows[x], c, i, k):
+                            passed += m
+                        x = down[x]
+                    corner_ok += up_ok[n] * passed
+                if _outside_join(held, r, c, j) == doubled:
+                    passed, x = 0, n
+                    while x != size:
+                        m = above_ok[x] - above_ok[up[x]]
+                        if m and _is_outside_corner(held, ups[x], c, j, k):
+                            passed += m
+                        x = up[x]
+                    outside_ok += passed * down_ok[held_n]
+            doubled_rows += gaps
     expected = count_bssyt(lam, k)
     return VerificationReport(
         claim="bssyt_roundtrip",
@@ -394,6 +397,7 @@ def verify_roundtrip(lam, k):
             "shape": lam,
             "k": k,
             "tableaux": total,
+            "doubled_rows": doubled_rows,
             "method": "row-lattice",
             "peak_states": size,
         },

@@ -63,6 +63,7 @@ __all__ = [
     "verify_double_sums",
     "verify_ensemble_size",
     "verify_weak_expectation_by_subshape",
+    "weak_distribution",
     "weak_histogram",
     "weak_probability",
 ]
@@ -111,12 +112,19 @@ def _toggle_sums(lam, k):
     return sum(H), ins, outs
 
 
+def weak_distribution(lam, k):
+    """Exact probability that a uniform pair induces each subshape, keyed
+    as weak_histogram is, from one histogram; the values add up to 1."""
+    histogram = weak_histogram(lam, k)
+    pairs = sum(histogram.values())
+    return {mu: Fraction(n, pairs) for mu, n in histogram.items()}
+
+
 def weak_probability(mu, lam, k):
     """Exact probability that a uniform pair induces exactly mu."""
     if not subshape_contained(mu, lam):
         raise ValueError(f"{mu!r} is not a subshape of {lam!r}")
-    histogram = weak_histogram(lam, k)
-    return Fraction(histogram[mu.parts], sum(histogram.values()))
+    return weak_distribution(lam, k)[mu.parts]
 
 
 def expected_jaggedness_weak(lam, k):

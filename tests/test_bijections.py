@@ -2,6 +2,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssyt import bijections
 from bssyt.bijections import (
@@ -206,11 +208,16 @@ def test_verify_roundtrip_report():
     assert report.params["tableaux"] == report.rhs[0]
     assert report.params["method"] == "row-lattice"
     assert report.params["peak_states"] == 6  # J(2^2): rows of width 2, entries in [0, 2]
+    # (row index, doubled row) pairs: 8 rows of width 2 in row 1, and in row 2
+    # the one-cell rows {2, 3}, {2, 4} and {3, 4}
+    assert report.params["doubled_rows"] == 11
     report = verify_roundtrip(P((4, 4, 2, 1)), 3)
     assert report.equal and report.lhs == report.rhs == [39732, 39732]
     assert report.params["tableaux"] == count_bssyt(P((4, 4, 2, 1)), 3)
+    assert report.params["doubled_rows"] == 194
     empty = verify_roundtrip(P(()), 1)
     assert empty.equal and empty.lhs == [0, 0] and empty.params["tableaux"] == 0
+    assert empty.params["doubled_rows"] == 0
     for bad in (0, True, 2.0, "2"):
         with pytest.raises(ValueError):
             verify_roundtrip(P((2, 1)), bad)
@@ -350,10 +357,12 @@ def test_roundtrip_count_sees_a_slipped_row_step(monkeypatch, helper, mutant):
             assert not report.equal and corner_ok == outside_ok == 0
 
 
-@pytest.mark.parametrize("parts", [(2, 2), (3, 2, 1)])
+@pytest.mark.parametrize("parts", [(2, 2), (3, 2, 1), (3, 3, 2, 2)])
 def test_roundtrip_runs_each_row_step_once_per_doubled_row(monkeypatch, parts):
     # each split and join runs once per (row index, doubled row) that the
-    # tableau walk meets, so the count shares no step across rows
+    # tableau walk meets, so the count shares no step across rows; (3,3,2,2)
+    # has rows of one width with different neighbours, which share the
+    # per-width tables and must not share their steps
     lam, k = P(parts), 2
     met = set()
     for T in enumerate_bssyt(lam, k):
@@ -373,6 +382,20 @@ def test_roundtrip_runs_each_row_step_once_per_doubled_row(monkeypatch, parts):
         monkeypatch.setattr(bijections, name, counted)
     report = verify_roundtrip(lam, k)
     assert report.equal and report.params["tableaux"] == len(list(enumerate_bssyt(lam, k)))
+    assert report.params["doubled_rows"] == len(met)
     for name, keys in seen.items():
         assert len(keys) == len(met), name
         assert set(keys) == met, name
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(1, 6), max_size=6), st.integers(1, 3))
+def test_roundtrip_count_is_conjugation_invariant(parts, k):
+    # transposing a tableau keeps its round trips: lam and lam' count the
+    # same, on boxes k^(lam_1) and k^(lam'_1) whose rows have other widths
+    lam = P(sorted(parts, reverse=True))
+    conjugate = P(tuple(sum(p > j for p in lam.parts) for j in range(max(parts, default=0))))
+    report, transposed = verify_roundtrip(lam, k), verify_roundtrip(conjugate, k)
+    assert report.equal and transposed.equal
+    assert report.params["tableaux"] == transposed.params["tableaux"]
+    assert report.lhs == transposed.lhs

@@ -16,6 +16,7 @@ from bssyt.jaggedness import (
     verify_double_sums,
     verify_ensemble_size,
     verify_weak_expectation_by_subshape,
+    weak_distribution,
     weak_histogram,
     weak_probability,
 )
@@ -88,9 +89,13 @@ def test_weak_probability_single_cell():
 
 
 def test_weak_probabilities_normalize():
-    for lam, k in ((P((2, 1)), 2), (P((3, 1)), 1)):
-        total = sum(weak_probability(mu, lam, k) for mu in all_subshapes(lam))
-        assert total == 1
+    for lam, k in ((P((2, 1)), 2), (P((3, 1)), 1), (P((5,) * 5), 3)):
+        distribution = weak_distribution(lam, k)
+        assert sum(distribution.values()) == 1
+        assert set(distribution) == {mu.parts for mu in all_subshapes(lam)}
+    lam, k = P((2, 1)), 2
+    for mu in all_subshapes(lam):
+        assert weak_probability(mu, lam, k) == weak_distribution(lam, k)[mu.parts]
 
 
 def test_expected_jaggedness_examples():
