@@ -15,14 +15,14 @@ arguments) pairs and its handler, which returns the report document and
 its text line.  A well-formed command line (a known command, its
 positionals, exact long flags each followed by one value not beginning with
 "-", every value of its declared type and choices, every required flag
-present) is read from that table straight into the Namespace argparse would
-give, without building a parser (`_read_args`).  Anything else goes to
-`build_parser()`, the full parser built from the same table, so help, usage
-and error text and exit codes are argparse's own.
+present) is read into the Namespace argparse would give without building a
+parser, by `_read_args` from lookup tables built from `_COMMANDS` at import.
+Anything else goes to `build_parser()`, the full parser built from the same
+table, so help, usage and error text and exit codes are argparse's own.
+`--format json` writes each document as one line of JSON.
 """
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -156,7 +156,7 @@ def _verify(args):
         if name not in flags and getattr(args, name) is not None:
             raise ValueError(f"claim {args.claim} does not take --{name}")
     doc = getattr(module, call)(*reader(args)).as_dict()
-    doc["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+    doc["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
     line = (lambda: f"{'PASS' if doc['equal'] else 'FAIL'} {doc['claim']} "
             f"lhs={json.dumps(doc['lhs'])} rhs={json.dumps(doc['rhs'])} "
             f"params={json.dumps(doc['params'])}")
@@ -249,43 +249,55 @@ def build_parser():
     return parser
 
 
+def _reader_table(arguments):
+    """A command's arguments as `_read_args` reads them: name -> (Namespace
+    attribute, type, choices), the positional names, the attributes of the
+    required flags, and every attribute's default."""
+    types = {name: (name.lstrip("-"), kwargs.get("type", str), kwargs.get("choices"))
+             for name, kwargs in arguments}
+    return (
+        types,
+        [name for name in types if not name.startswith("-")],
+        {name.lstrip("-") for name, kwargs in arguments if kwargs.get("required")},
+        {name.lstrip("-"): kwargs.get("default") for name, kwargs in arguments},
+    )
+
+
+_READER_TABLES = {name: _reader_table(row[2]) for name, row in _COMMANDS.items()}
+
+
 def _read_args(argv):
     """The Namespace `build_parser().parse_args(argv)` gives for a well-formed
     argv: a command, its positionals, and exact long flags each followed by
     one value.  None for anything else (help, `--k=2`, abbreviations, `--`,
     a value beginning with "-", bad values, missing flags), which only
     argparse reads."""
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _READER_TABLES:
         return None
-    table = dict(_COMMANDS[argv[0]][2])
-    positionals = [name for name in table if not name.startswith("-")]
+    types, positionals, required, defaults = _READER_TABLES[argv[0]]
+    positionals = list(positionals)
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
         if token.startswith("-"):
             name, value = token, next(tokens, None)
-            if name not in table or value is None or value.startswith("-"):
+            if name not in types or value is None or value.startswith("-"):
                 return None
         elif positionals:
             name, value = positionals.pop(0), token
         else:
             return None
-        kwargs = table[name]
+        dest, kind, choices = types[name]
         try:
-            value = kwargs.get("type", str)(value)
+            value = kind(value)
         except ValueError:
             return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
+        if choices is not None and value not in choices:
             return None
-        given[name] = value
-    if positionals or any(
-        kwargs.get("required") and name not in given for name, kwargs in table.items()
-    ):
+        given[dest] = value
+    if positionals or not required <= given.keys():
         return None
-    return argparse.Namespace(command=argv[0], **{
-        name.lstrip("-"): given.get(name, kwargs.get("default"))
-        for name, kwargs in table.items()
-    })
+    return argparse.Namespace(command=argv[0], **{**defaults, **given})
 
 
 def _dispatch(args, out):
@@ -296,8 +308,10 @@ def _dispatch(args, out):
     if args.format == "text":
         out.write(line() + "\n")
     elif args.format == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json.dumps(doc) + "\n")
     else:
+        import csv  # only here: no other format needs it
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(doc.keys())
         writer.writerow(

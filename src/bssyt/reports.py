@@ -9,7 +9,7 @@ ast, dis and tokenize into every import of the package.
 """
 
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 
 from .exactmath import IntPolynomial
 from .shapes import Cell, NotBalancedError, Partition, is_balanced
@@ -17,26 +17,45 @@ from .shapes import Cell, NotBalancedError, Partition, is_balanced
 __all__ = ["Record", "VerificationReport", "require_balanced"]
 
 
+def _same(value):
+    return value
+
+
+def _encode_fraction(value):
+    if value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _encode_dict(value):
+    return {_encode_key(k): _encode(v) for k, v in value.items()}
+
+
+def _encode_sequence(value):
+    return [_encode(v) for v in value]
+
+
+# The types that reports hold, each with its lowering, in the order of the
+# isinstance chain that lowers any other value: Cell ahead of tuple, its base.
+_LOWER = {
+    bool: _same, type(None): _same, str: _same, int: _same,
+    Cell: "{0.row},{0.col}".format, Fraction: _encode_fraction, IntPolynomial: str,
+    Partition: methodcaller("to_text"), dict: _encode_dict, list: _encode_sequence,
+    tuple: _encode_sequence,
+}
+
+
 def _encode(value):
-    """Lower a report value to JSON-ready data; exact types become strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Cell):  # ahead of Fraction, an ABC with a slow isinstance
-        return f"{value.row},{value.col}"
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, IntPolynomial):
-        return str(value)
-    if isinstance(value, Partition):
-        return value.to_text()
-    if isinstance(value, dict):
-        return {_encode_key(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+    """Lower a report value to JSON-ready data; exact types become strings.
+    A value of one of the table's exact types is lowered by one lookup; any
+    other, a subclass such as Counter included, by the first table type it
+    is an instance of."""
+    lower = _LOWER.get(type(value))
+    if lower is not None:
+        return lower(value)
+    for cls, lower in _LOWER.items():
+        if isinstance(value, cls):
+            return lower(value)
     raise TypeError(f"cannot encode {value!r} into a report")
 
 

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 
 import bssyt
 from bssyt import bijections, cli, hecke, jaggedness
-from bssyt.reports import VerificationReport
-from bssyt.shapes import Partition
+from bssyt.exactmath import IntPolynomial
+from bssyt.reports import VerificationReport, _encode
+from bssyt.shapes import Cell, Partition
 
 
 def run(capsys, *argv):
@@ -90,12 +93,9 @@ def test_verify_togglesym(capsys):
     assert set(doc["lhs"]) == {"1,1", "1,2", "2,1"}
     assert doc["lhs"] == doc["rhs"]
     assert out == (
-        '{\n  "claim": "toggle_symmetry",\n'
-        '  "params": {\n    "shape": "2,1",\n    "k": 2,\n    "cells": 3\n  },\n'
-        '  "lhs": {\n    "1,1": 6,\n    "1,2": 11,\n    "2,1": 11\n  },\n'
-        '  "rhs": {\n    "1,1": 6,\n    "1,2": 11,\n    "2,1": 11\n  },\n'
-        '  "equal": true,\n'
-        f'  "elapsed_ms": {doc["elapsed_ms"]}\n}}\n'
+        '{"claim": "toggle_symmetry", "params": {"shape": "2,1", "k": 2, "cells": 3}, '
+        '"lhs": {"1,1": 6, "1,2": 11, "2,1": 11}, "rhs": {"1,1": 6, "1,2": 11, "2,1": 11}, '
+        f'"equal": true, "elapsed_ms": {doc["elapsed_ms"]}}}\n'
     )
 
 
@@ -497,6 +497,118 @@ def _argv(draw):
 @example(["count", "--shape", "1", "--k", "1"])
 def test_reader_matches_argparse_on_token_lists(argv):
     assert _reader_agrees(argv)
+
+
+@pytest.fixture
+def caught_reports(monkeypatch):
+    """Every report a claim's library call returns while the test runs,
+    caught on the module attribute the CLI looks up."""
+    caught = []
+    for module, call, *_ in cli.CLAIMS.values():
+        def catching(*args, _call=getattr(module, call)):
+            caught.append(_call(*args))
+            return caught[-1]
+        monkeypatch.setattr(module, call, catching)
+    return caught
+
+
+def _main_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_json_is_one_line_of_the_library_report(caught_reports):
+    argvs = list(_pinned_argv())
+    for argv in argvs:
+        code, out = _main_quiet(argv + ["--format", "json"])
+        assert code == 0, argv
+        elapsed = json.loads(out)["elapsed_ms"]
+        assert isinstance(elapsed, float) and elapsed == round(elapsed, 3) >= 0
+        doc = {**caught_reports[-1].as_dict(), "elapsed_ms": elapsed}
+        assert out.count("\n") == 1 and out == json.dumps(doc) + "\n", argv
+    assert len(caught_reports) == len(argvs)
+
+
+def _encode_oracle(value):
+    """The report encoder as one isinstance chain for every value."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Cell):
+        return f"{value.row},{value.col}"
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, IntPolynomial):
+        return str(value)
+    if isinstance(value, Partition):
+        return value.to_text()
+    if isinstance(value, dict):
+        return {_encode_key_oracle(k): _encode_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_oracle(v) for v in value]
+    raise TypeError(f"cannot encode {value!r} into a report")
+
+
+def _encode_key_oracle(key):
+    encoded = _encode_oracle(key)
+    return encoded if isinstance(encoded, str) else str(encoded)
+
+
+class _Part(Partition):
+    def to_text(self):
+        return "part " + super().to_text()
+
+
+_EDGE_VALUES = [
+    Counter({Cell(1, 2): 3, "a": Fraction(2, 3), Partition((2, 1)): None, 4: True}),
+    True, False, None, 0, "", Cell(2, 3), Fraction(3, 1), Fraction(-2, 3),
+    IntPolynomial((1, -2, 3)), IntPolynomial(), Partition(()), _Part((3, 1)),
+    ((1, (Fraction(1, 2), (Cell(1, 1), ()))), [IntPolynomial((0, 1))], {}),
+    {"k": 2, "levels": [(1, 2), (Fraction(5, 1),)]},
+]
+
+
+def test_encode_agrees_with_the_isinstance_chain(caught_reports):
+    for argv in _pinned_argv():
+        _main_quiet(argv)
+    values = [value for report in caught_reports
+              for value in (report.params, report.lhs, report.rhs)]
+    assert len(values) == 3 * len(list(_pinned_argv()))
+    for value in values + _EDGE_VALUES:
+        # repr tells True from 1 and "1" from 1, and shows the key order
+        assert repr(_encode(value)) == repr(_encode_oracle(value)), value
+    for bad in (1.5, {1, 2}, [1, 0.5], {"a": {3}}):
+        for encode in (_encode, _encode_oracle):
+            with pytest.raises(TypeError, match="cannot encode"):
+                encode(bad)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_argv(), st.booleans())
+@example(["verify", "theorem31", "--shape", "2,1", "--k", "1"], True)
+@example(["expected-jaggedness", "--shape", "1", "--k", "2"], True)
+@example(["verify", "theorem31", "--shape", "3,1", "--k", "1"], True)
+@example(["verify", "fk14", "--n", "3", "--limit", "-1"], True)
+@example(["count", "ssyt", "--shape", "2,1", "--k", "1", "--limit", "0"], True)
+def test_main_exits_with_its_codes_on_token_lists(argv, as_json):
+    """cli.main returns 0-3 or argparse exits 0 or 2, and raises nothing else;
+    a report asked for as JSON is one line of JSON."""
+    if as_json:
+        argv = argv + ["--format", "json"]
+    try:
+        code, out = _main_quiet(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+        return
+    assert code in (0, 1, 2, 3), argv
+    if as_json and code in (0, 1):
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        json.loads(out)
 
 
 def test_python_m_entry_point():

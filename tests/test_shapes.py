@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bssyt.reports import _encode
 from bssyt.shapes import (
     Cell,
     Partition,
@@ -55,6 +58,15 @@ def test_partition_text_round_trip():
         P.from_text("4,x")
     with pytest.raises(ValueError):
         P.from_text("1,2")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(0, 12), max_size=8))
+def test_partition_text_round_trip_on_drawn_partitions(parts):
+    """Reports lower a Partition to its text, and the CLI reads that text back."""
+    lam = P(sorted(parts, reverse=True))
+    assert _encode(lam) == lam.to_text()
+    assert P.from_text(lam.to_text()) == lam
 
 
 def test_rect_staircase():
