@@ -310,7 +310,7 @@ def _dispatch(args, out):
     elif args.format == "json":
         out.write(json.dumps(doc) + "\n")
     else:
-        import csv  # only here: no other format needs it
+        import csv  # imported here, so that the other formats never pay for it
 
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(doc.keys())

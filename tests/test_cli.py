@@ -566,7 +566,7 @@ class _Part(Partition):
 
 _EDGE_VALUES = [
     Counter({Cell(1, 2): 3, "a": Fraction(2, 3), Partition((2, 1)): None, 4: True}),
-    True, False, None, 0, "", Cell(2, 3), Fraction(3, 1), Fraction(-2, 3),
+    True, False, None, 0, "", Cell(2, 3), Fraction(3, 1), Fraction(2, 3), Fraction(-2, 3),
     IntPolynomial((1, -2, 3)), IntPolynomial(), Partition(()), _Part((3, 1)),
     ((1, (Fraction(1, 2), (Cell(1, 1), ()))), [IntPolynomial((0, 1))], {}),
     {"k": 2, "levels": [(1, 2), (Fraction(5, 1),)]},
