@@ -8,21 +8,20 @@ over the letters of every length-matching word that folds to w.
 
 The polynomial is computed by a dynamic program keyed on permutations
 level by level instead of walking all (n-1)**length letter sequences.  It
-keeps only the states that can still fold to w: a Demazure product only
-goes up in Bruhat order, so every prefix state lies in the interval [e, w],
-and a letter adds at most one inversion, so a state needs a length of at
-least length(w) minus the letters left.  Both cuts are exact at every
-level, not only the last.  The plain walk is kept as
-fk_polynomial_bruteforce and serves as the test oracle for the dynamic
-program.  Every level of the program is the polynomial at one word length,
-so the ratio identities read lengths ell and ell + 1 off a single pass.
-They are checked in cleared-denominator form over integer polynomials,
-never by dividing.
+keeps only the states that can still fold to w: a letter fixes the state
+or goes up one cover in right weak order, so every prefix state lies in
+the right weak interval [e, w]_R, and a letter adds at most one inversion,
+so a state needs a length of at least length(w) minus the letters left.
+Both cuts are exact at every level, not only the last.  The plain walk is
+kept as fk_polynomial_bruteforce and serves as the test oracle for the
+dynamic program.  Every level of the program is the polynomial at one word
+length, so the ratio identities read lengths ell and ell + 1 off a single
+pass.  They are checked in cleared-denominator form over integer
+polynomials, never by dividing.
 """
 
 import itertools
 import math
-from operator import le
 
 from .exactmath import IntPolynomial, binomial
 from .reports import VerificationReport, require_balanced
@@ -48,8 +47,8 @@ __all__ = [
     "verify_fk_ratio",
 ]
 
-# The reports' "method": the word DP kept to [e, w] and the length budget.
-_DP_METHOD = "bruhat-pruned-dp"
+# The reports' "method": the word DP kept to [e, w]_R and the length budget.
+_DP_METHOD = "weak-pruned-dp"
 
 
 def permutation(values):
@@ -167,21 +166,20 @@ def _fk_levels(w, top):
     """The word polynomials of w at every length 0..top, from one DP pass,
     and the most states the pass kept on one level.
 
-    A state at level L is kept only if it lies below w in Bruhat order and
-    its length is at least length(w) - (top - L).  Each state carries its
-    length and its polynomial as a coefficient list.  A step v = u s_i with
-    u[i-1] < u[i] changes only the i-prefix of u, and u <= w is already
-    known, so v <= w exactly when sorted(v[:i]) lies entrywise below
-    sorted(w[:i]) (the tableau criterion).  Such a step adds one inversion,
-    so it always meets the length budget; a letter that leaves u fixed must
-    meet it again at the next level.
+    A state at level L is kept only if it lies below w in right weak order
+    and its length is at least length(w) - (top - L).  Each state carries
+    its length and its polynomial as a coefficient list.  A step v = u s_i
+    with a = u[i-1] < b = u[i] adds the one inversion (b, a), and u lies
+    below w already, so v does exactly when b comes before a in w.  Such a
+    step adds one inversion, so it always meets the length budget; a letter
+    that leaves u fixed must meet it again at the next level.
     """
     w = permutation(w)
     if top < 0:
         raise ValueError("word length must be nonnegative")
     n = len(w)
     goal = length(w)
-    prefixes = [sorted(w[:i]) for i in range(n)]
+    where = {value: position for position, value in enumerate(w)}
     states = {identity(n): (0, [1])} if goal <= top else {}
     found = [states[w][1] if w in states else ()]
     peak = len(states)
@@ -197,9 +195,9 @@ def _fk_levels(w, top):
                     slope += 1
                     constant += i
                     continue
-                head = u[: i - 1] + (b,)
-                if all(map(le, sorted(head), prefixes[i])):
-                    _add_times_linear(out, head + (a,) + u[i + 1 :], ell + 1, poly, 1, i)
+                if where[b] < where[a]:
+                    v = u[: i - 1] + (b, a) + u[i + 1 :]
+                    _add_times_linear(out, v, ell + 1, poly, 1, i)
             if slope and ell >= floor:
                 _add_times_linear(out, u, ell, poly, slope, constant)
         states = out

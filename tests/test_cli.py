@@ -108,7 +108,7 @@ def test_verify_fk14(capsys):
     code, out, _ = run(capsys, "verify", "fk14", "--n", "4", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"]["method"] == "bruhat-pruned-dp"
+    assert doc["params"]["method"] == "weak-pruned-dp"
     assert doc["params"]["peak_states"] == 6  # the largest Mahonian number of S4
 
 
@@ -474,11 +474,27 @@ _WORDS = [*cli._COMMANDS, *cli.CLAIMS, *cli._COUNTERS, "1", "2,1", "0", "json", 
           "text", "-1", "x", "", " 4", "+3", "--k"]
 
 
+# the valid tokens that may follow each token of a well-formed argv
+_VALID = {
+    "count": sorted(cli._COUNTERS),
+    "verify": [claim for claim, row in cli.CLAIMS.items() if row[2] is cli._shape_k],
+    "--shape": ["", "1", "2", "1,1", "2,1", "2,2", "3,1", "3,2,1"],
+    "--k": ["1", "2", "3"],
+    "--n": ["2", "3", "4"],
+}
+
+
 @st.composite
 def _argv(draw):
-    """A well-formed argv with flag-value pairs and lone words put in
-    anywhere, the command's place included, and perhaps one token dropped."""
+    """A well-formed argv, either with each value swapped for a valid one,
+    or with flag-value pairs and lone words put in anywhere, the command's
+    place included, and perhaps one token dropped."""
     argv = list(draw(st.sampled_from(_WELL_FORMED)))
+    if draw(st.booleans()):
+        for at in range(1, len(argv)):
+            if argv[at - 1] in _VALID:
+                argv[at] = draw(st.sampled_from(_VALID[argv[at - 1]]))
+        return argv
     words = st.sampled_from(_FLAGS + _WORDS)
     for _ in range(draw(st.integers(0, 4))):
         at = draw(st.integers(0, len(argv)))

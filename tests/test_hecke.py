@@ -1,7 +1,10 @@
 import itertools
 import random
+from operator import le
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bssyt import hecke
 from bssyt.exactmath import IntPolynomial
@@ -179,17 +182,78 @@ def test_every_dp_level_matches_bruteforce():
                 assert levels == walked[: top + 1], (w, top)
 
 
+def _bruhat_levels(w, top):
+    """The word DP cut to the Bruhat interval [e, w] by the tableau
+    criterion instead of the weak interval; a second oracle for the levels
+    where the brute-force walk cannot go."""
+    n = len(w)
+    goal = length(w)
+    prefixes = [sorted(w[:i]) for i in range(n)]
+    states = {identity(n): (0, [1])} if goal <= top else {}
+    found = [states[w][1] if w in states else ()]
+    peak = len(states)
+    for level in range(1, top + 1):
+        floor = goal - (top - level)
+        out = {}
+        for u, (ell, poly) in states.items():
+            slope = constant = 0
+            for i in range(1, n):
+                a, b = u[i - 1], u[i]
+                if a > b:
+                    slope += 1
+                    constant += i
+                    continue
+                head = u[: i - 1] + (b,)
+                if all(map(le, sorted(head), prefixes[i])):
+                    hecke._add_times_linear(out, head + (a,) + u[i + 1 :], ell + 1, poly, 1, i)
+            if slope and ell >= floor:
+                hecke._add_times_linear(out, u, ell, poly, slope, constant)
+        states = out
+        peak = max(peak, len(states))
+        found.append(states[w][1] if w in states else ())
+    return [IntPolynomial(coeffs) for coeffs in found], peak
+
+
+def test_dp_levels_match_the_bruhat_dp():
+    # every non-empty dominant code inside 4^4, and two codes too long for
+    # the walk; the weak cut keeps a subset of the Bruhat cut's states
+    codes = [lam for lam in all_subshapes(P((4, 4, 4, 4))) if lam.ncells]
+    assert len(codes) == 69
+    for lam in codes + [P((6, 6, 3, 3)), P((3, 3, 2, 2, 1, 1))]:
+        w = dominant_from_partition(lam)
+        levels, peak = hecke._fk_levels(w, lam.ncells + 1)
+        bruhat, bruhat_peak = _bruhat_levels(w, lam.ncells + 1)
+        assert levels == bruhat, lam
+        assert peak <= bruhat_peak, lam
+
+
 def test_dp_reports_method_and_peak_states():
     # fk14 at n = 4 keeps the permutations of length L at level L, whose
-    # largest count is the Mahonian number 6; without the Bruhat cut fk37
-    # on (3,1) would keep 11 states on some level
+    # largest count is the Mahonian number 6 (w0's weak interval is all of
+    # S4); the Bruhat cut kept 7 states on some level of fk37 on (3,1), and
+    # 11,595 on (5,5,5,5)
     for report, peak in (
         (verify_fk_longest(4), 6),
-        (verify_fk_bssyt_relation(P((3, 1)), 2), 7),
+        (verify_fk_bssyt_relation(P((3, 1)), 2), 4),
         (verify_fk_ratio(P((2, 1))), 4),
+        (verify_fk_ratio(P((5, 5, 5, 5))), 23),
     ):
-        assert report.params["method"] == "bruhat-pruned-dp"
+        assert report.params["method"] == "weak-pruned-dp"
         assert report.params["peak_states"] == peak
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.integers(1, 5), max_size=5))
+def test_conjugate_code_gives_the_inverse_and_the_same_levels(parts):
+    # the dominant permutation of lam' is w^-1 (padded with fixed points),
+    # whose words are w's words reversed, so every level is the same
+    lam = P(sorted(parts, reverse=True))
+    conjugate = P(tuple(sum(p > j for p in lam.parts) for j in range(lam.cols)))
+    w, w_conjugate = dominant_from_partition(lam), dominant_from_partition(conjugate)
+    inverse = tuple(w.index(v) + 1 for v in range(1, len(w) + 1))
+    assert w_conjugate == inverse + tuple(range(len(w) + 1, len(w_conjugate) + 1))
+    top = lam.ncells + 1
+    assert hecke._fk_levels(w, top)[0] == hecke._fk_levels(w_conjugate, top)[0]
 
 
 def test_reduced_word_counts():

@@ -81,6 +81,26 @@ def test_setvalued_rejects_bool_entries():
     assert SetValuedTableau(P((1,)), (((1,),),), 1).serialize() == "1"
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 2), st.data())
+def test_text_form_round_trips(parts, k, data):
+    # one SSYT, one BSSYT and one RPP drawn from the enumerators on a shape
+    # inside 3x3; parse(serialize(T), k) rebuilds T through the checked path
+    lam = P(sorted(parts, reverse=True))
+    for cls, fillings in (
+        (SetValuedTableau, enumerate_ssyt(lam, k)),
+        (SetValuedTableau, enumerate_bssyt(lam, k)),
+        (ReversePlanePartition, enumerate_rpp(lam, k)),
+    ):
+        fillings = list(fillings)
+        if not fillings:
+            assert cls is SetValuedTableau and lam.ncells == 0
+            continue
+        T = data.draw(st.sampled_from(fillings))
+        assert type(T) is cls
+        assert cls.parse(T.serialize(), k) == T
+
+
 def test_enumerate_ssyt_counts():
     assert count_ssyt(P((1,)), 2) == 3
     assert count_ssyt(P((2, 1)), 1) == 5
